@@ -1,12 +1,12 @@
 """Churn-path benchmark: what failure injection costs the replay.
 
 The churn machinery (correlated bursts, warning-time drains, server
-arrivals) rides the injector's heap loop instead of the failure-free
-array-sorted fast path, so its cost must be tracked separately.  This
+arrivals) feeds the replay driver a heap of failure events and turns off
+batched departures, so its cost must be tracked separately.  This
 module times one trace under four regimes against the failure-free
 baseline replay of the same scenario:
 
-* ``failure-free`` — the golden array loop (the reference cost);
+* ``failure-free`` — the golden batched replay (the reference cost);
 * ``spot`` — PR 3's independent instant-evacuation path;
 * ``correlated+warning`` — rack bursts with a budgeted drain (ticks,
   deadlines, retries: the heaviest new path);

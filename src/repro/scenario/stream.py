@@ -106,7 +106,7 @@ class ScenarioStream:
         """Freeze the current boundary as a ``SimSnapshot``."""
         if self._result is not None:
             raise SimulationError("stream already finished; nothing left to snapshot")
-        self._sim._ensure_stream()
+        self._sim.run_until(self.at)  # opens the stream; processes nothing
         return self._sim.snapshot()
 
     def result(self) -> ScenarioResult:

@@ -19,11 +19,14 @@ CPU usage (4 levels); bin-packing and deflation consider CPU cores and
 memory; the same trace is replayed while the server count shrinks to raise
 overcommitment.
 
-Transient-server failures (revocations, capacity dips) attach through
-:meth:`ClusterSimulator.attach_failures`: the injector drives a merged
-VM + failure event stream through the same handlers (see
-:mod:`repro.failures`), while simulators without an injector run the
-original loop untouched.
+Every replay mode — one-shot ``run()``, stepped ``run_until()``,
+snapshot-resumed, sharded, and failure-injected — runs through one
+driver, ``ClusterSimulator._replay``: a cursor over the VM events sorted
+once by ``_build_events``, merged by ``(t, kind, key)`` with the attached
+:class:`~repro.failures.injector.FailureInjector`'s heap of failure events
+(revocations, capacity dips, arrivals, and the requeues and drain ticks
+they schedule; see :mod:`repro.failures`).  Without an injector the heap
+is empty and the driver is the plain sorted loop.
 
 Hot-path design (profiled on 20k-VM traces; every change is bit-identical
 to :mod:`repro.simulator.reference`, the pinned pre-optimization snapshot —
@@ -54,14 +57,17 @@ from the reference):
   reclaim_plan` objects cached alongside the resident gathers, so the
   priority policy's breakpoint sort is paid once per membership change,
   not once per solve;
-* the observer-free failure-free ``run`` loop coalesces each timestamp's
-  run of departures into one rebalance per touched server
-  (``_handle_end_batch`` documents the equivalence argument; every other
-  execution mode stays strictly per-event).
+* whenever no collector and no injector is attached, the driver
+  coalesces each timestamp's run of departures into one rebalance per
+  touched server — in every replay mode, one-shot, stepped, resumed, and
+  sharded alike (``_handle_end_batch`` documents the equivalence
+  argument; observed and failure-injected replays stay strictly
+  per-event).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -71,6 +77,7 @@ import numpy as np
 from repro.core.deflation import DeflationPolicy, get_policy
 from repro.core.vm import VMClass, priority_from_p95
 from repro.errors import SimulationError
+from repro.failures.injector import _END, _START
 from repro.pricing.models import PRICING_MODELS, PricingModel
 from repro.registry import create, validate
 from repro.simulator.components import (
@@ -378,13 +385,19 @@ class ClusterSimulator:
     #: toward capacity); the public simulator keeps rejecting them.
     _allow_empty = False
 
+    #: Optional ``(t, kind, key)`` callback the driver invokes after every
+    #: dispatched event, or once after a batch of same-timestamp departures
+    #: (keyed by its first VM); the sharded engine's shard recorder logs
+    #: there.
+    _on_step = None
+
     def __init__(self, traces: VMTraceSet, config: ClusterSimConfig) -> None:
         if len(traces) == 0 and not self._allow_empty:
             raise SimulationError("empty trace set")
         self.traces = traces
         self.config = config
         #: Optional failure injector (see :meth:`attach_failures`); when
-        #: None the replay runs the original failure-free loop untouched.
+        #: None the driver's failure heap stays empty.
         self._injector = None
         #: Liveness mask over servers, created lazily on the first
         #: revocation (None = everything alive, the failure-free fast path).
@@ -393,9 +406,8 @@ class ClusterSimulator:
         #: injector uses it to attribute preemption cascades triggered by
         #: failure-driven placements.
         self._preempt_log: list[int] | None = None
-        #: Open event stream for checkpoint/resume (:meth:`run_until`);
-        #: None until a stream is opened — :meth:`run` then executes the
-        #: original one-shot loop untouched.
+        #: The VM event cursor (:meth:`_build_events`), opened by the first
+        #: :meth:`run` / :meth:`run_until` or by a snapshot restore.
         self._stream: dict | None = None
         #: Per-VM metric terms finalized by :meth:`compact_history` before
         #: their history rows were dropped (streaming bounded-memory mode);
@@ -492,6 +504,9 @@ class ClusterSimulator:
         #: Incrementally maintained ``committed[:, 0].sum()`` (exact: core
         #: counts are integers, so adds/subtracts never lose bits).
         self._committed_cores = 0.0
+        #: Running maximum of ``_committed_cores``, raised in :meth:`_admit`
+        #: (the only place committed cores grow past a prior value).
+        self._peak_committed = 0.0
         #: Per-server cached (idx, caps, floors, prios) gathers over the
         #: deflatable residents; invalidated on membership changes so
         #: ``_rebalance`` stops paying ``np.fromiter`` + fancy-indexing on
@@ -531,7 +546,7 @@ class ClusterSimulator:
     def _refresh_derived(self) -> None:
         """(Re)build caches derived from the per-VM arrays.
 
-        Called at construction *and* at the top of :meth:`run`: the blessed
+        Called at construction *and* when the replay's stream opens: the blessed
         ``engine.build()`` flow mutates ``vm_prio`` / ``vm_floor`` /
         ``vm_caps`` on the built simulator before replaying (e.g. the
         priority-level ablation), and these snapshots must reflect that
@@ -556,15 +571,13 @@ class ClusterSimulator:
     def attach_failures(self, injector) -> None:
         """Attach a :class:`~repro.failures.injector.FailureInjector`.
 
-        With an injector attached, :meth:`run` hands the replay to
-        :meth:`FailureInjector.drive`, which merges the injector's
+        With an injector attached, :meth:`run` enters through
+        :meth:`FailureInjector.drive`, and the driver merges the injector's
         revocation/capacity-dip schedule (plus dynamically requeued
-        restarts) into the VM event stream and calls back into the same
-        ``_handle_start`` / ``_handle_end`` handlers.  Without one, the
-        original array-sorted loop runs bit-identically to the pinned
-        reference.  The engine calls this for scenarios carrying a
-        ``failures`` spec; direct simulator users may call it before
-        :meth:`run`.
+        restarts and drain ticks) with the VM event cursor; VM events still
+        reach the same ``_handle_start`` / ``_handle_end`` handlers.  The
+        engine calls this for scenarios carrying a ``failures`` spec;
+        direct simulator users may call it before :meth:`run`.
         """
         self._injector = injector
 
@@ -638,140 +651,138 @@ class ClusterSimulator:
         else:
             self.server_pool = np.append(self.server_pool, -1)
 
-    # -- main loop -----------------------------------------------------------------
+    # -- the replay driver ------------------------------------------------------------
 
-    def _build_events(self) -> np.ndarray:
-        """Structured ``(t, kind, vm)`` event array, globally sorted.
+    def _build_events(self) -> dict:
+        """The VM event cursor: ``(t, kind, vm)`` columns, globally sorted.
 
-        Ends (kind 0) before starts (kind 1) at the same interval, ties
-        broken by VM index — the exact key the old Python
-        ``events.sort(key=...)`` used, minus the per-element lambda calls.
-        Shared by the one-shot loop and the resumable stream; both iterate
-        the same ``tolist()`` scalars, which is what keeps an interrupted
-        replay bit-identical to an uninterrupted one.
+        Ends before starts at the same interval (the injector's ``_END <
+        _START`` codes), ties broken by VM index — the exact key the old
+        Python ``events.sort(key=...)`` used, minus the per-element lambda
+        calls.  Returned as plain-list columns plus the ``cursor`` (next
+        event) and the ``at`` boundary, which is the whole resumable state
+        of the VM side of a replay.
         """
         n = len(self.traces)
         events = np.empty(
             2 * n, dtype=[("t", np.float64), ("kind", np.int8), ("vm", np.int64)]
         )
         events["t"][:n] = self.vm_end
-        events["kind"][:n] = 0
+        events["kind"][:n] = _END
         events["vm"][:n] = np.arange(n)
         events["t"][n:] = self.vm_start
-        events["kind"][n:] = 1
+        events["kind"][n:] = _START
         events["vm"][n:] = np.arange(n)
         events.sort(order=("t", "kind", "vm"))
-        return events
-
-    def run(self) -> ClusterSimResult:
-        if self._stream is not None:
-            # A stream is open (run_until / snapshot restore): finish it.
-            return self._collect(self._step_stream(None))
-        self._refresh_derived()  # pick up any post-build surgery
-        if self._injector is not None:
-            return self._collect(self._injector.drive(self))
-        events = self._build_events()
-        peak_committed = 0.0
-        handle_start, handle_end = self._handle_start, self._handle_end
-        t_list = events["t"].tolist()
-        kind_list = events["kind"].tolist()
-        vm_list = events["vm"].tolist()
-        n = len(t_list)
-        # Observer-free failure-free runs coalesce each timestamp's run of
-        # departures into one rebalance per touched server — see
-        # _handle_end_batch for why this is bit-identical to the strictly
-        # per-event loop, which still serves every other execution mode
-        # (collectors attached, injector-driven, streaming).
-        batch_ends = not self._collectors
-        i = 0
-        while i < n:
-            t = t_list[i]
-            if kind_list[i] == 0:
-                if batch_ends:
-                    j = i + 1
-                    while j < n and kind_list[j] == 0 and t_list[j] == t:
-                        j += 1
-                    if j - i > 1:
-                        self._handle_end_batch(t, vm_list[i:j])
-                        i = j
-                        continue
-                handle_end(t, vm_list[i])
-            else:
-                handle_start(t, vm_list[i])
-                if self._committed_cores > peak_committed:
-                    peak_committed = self._committed_cores
-            i += 1
-        return self._collect(peak_committed)
-
-    # -- checkpoint/resume ---------------------------------------------------------
-
-    def _ensure_stream(self) -> None:
-        """Open the resumable event stream (idempotent).
-
-        Mirrors the top of :meth:`run` exactly: derived caches refresh
-        once, then either the injector's merged heap starts or the
-        failure-free event array is staged with a cursor.
-        """
-        if self._stream is not None:
-            return
-        self._refresh_derived()  # pick up any post-build surgery
-        if self._injector is not None:
-            self._injector.start(self)
-            self._stream = {"mode": "heap", "at": 0.0}
-            return
-        events = self._build_events()
-        self._stream = {
-            "mode": "array",
+        return {
             "t": events["t"].tolist(),
             "kind": events["kind"].tolist(),
             "vm": events["vm"].tolist(),
             "cursor": 0,
-            "peak": 0.0,
             "at": 0.0,
         }
 
-    def _step_stream(self, until: float | None) -> float:
-        """Advance the open stream through events ``t < until``; returns peak."""
+    def _replay(self, until: float | None) -> None:
+        """The event loop: process every event with ``t < until`` (all if None).
+
+        Opens the stream on first use (derived caches refresh, the VM
+        cursor is built, an attached injector builds its failure heap).
+        VM events come off the sorted cursor, failure events off the
+        injector's heap; the two merge by ``(t, kind, key)`` — the heap
+        never holds END/START kinds, so no two events tie.  Dynamic pushes
+        (requeues, drain ticks, deadlines) never sort before the event
+        that made them, so stopping at ``until`` processes exactly the
+        events an uninterrupted replay would have processed before that
+        boundary, and any sequence of calls is bit-identical to one.
+        """
+        if self._stream is None:
+            self._refresh_derived()  # pick up any post-build surgery
+            self._stream = self._build_events()
+            if self._injector is not None:
+                self._injector.start(self)
         stream = self._stream
-        if stream["mode"] == "heap":
-            self._injector.step(self, until)
-            peak = self._injector._peak
-        else:
-            t_list, kind_list, vm_list = stream["t"], stream["kind"], stream["vm"]
-            i, n = stream["cursor"], len(t_list)
-            peak = stream["peak"]
-            handle_start, handle_end = self._handle_start, self._handle_end
-            while i < n and (until is None or t_list[i] < until):
-                if kind_list[i] == 0:
-                    handle_end(t_list[i], vm_list[i])
+        t_list, kind_list, vm_list = stream["t"], stream["kind"], stream["vm"]
+        i, n = stream["cursor"], len(t_list)
+        stop = math.inf if until is None else until
+        injector = self._injector
+        heap = [] if injector is None else injector._heap
+        on_step = self._on_step
+        handle_start, handle_end = self._handle_start, self._handle_end
+        # Observer-free failure-free replays coalesce each timestamp's run
+        # of departures into one rebalance per touched server — see
+        # _handle_end_batch for why this is bit-identical to per-event.
+        batch_ends = not self._collectors and injector is None
+        while True:
+            ht, hk = (heap[0][0], heap[0][1]) if heap else (math.inf, 0)
+            # VM events that sort before the failure heap's top.
+            while i < n:
+                t = t_list[i]
+                if t >= stop or t > ht:
+                    break
+                kind = kind_list[i]
+                if t == ht and kind > hk:
+                    break
+                if kind == _END:
+                    if batch_ends:
+                        j = i + 1
+                        while j < n and kind_list[j] == _END and t_list[j] == t:
+                            j += 1
+                        if j - i > 1:
+                            self._handle_end_batch(t, vm_list[i:j])
+                            if on_step is not None:
+                                on_step(t, _END, vm_list[i])
+                            i = j
+                            continue
+                    handle_end(t, vm_list[i])
                 else:
-                    handle_start(t_list[i], vm_list[i])
-                    if self._committed_cores > peak:
-                        peak = self._committed_cores
+                    handle_start(t, vm_list[i])
+                if on_step is not None:
+                    on_step(t, kind, vm_list[i])
                 i += 1
-            stream["cursor"] = i
-            stream["peak"] = peak
+            if ht >= stop:
+                break
+            t, kind, key, aux = heapq.heappop(heap)
+            injector.handle(self, t, kind, key, aux)
+            if on_step is not None:
+                on_step(t, kind, key)
+        stream["cursor"] = i
         if until is not None and until > stream["at"]:
             stream["at"] = until
-        return peak
+
+    def run(self) -> ClusterSimResult:
+        """Replay to the end and collect.
+
+        Finishes an open stream (after :meth:`run_until` or a snapshot
+        restore) or replays from the start.  On a finished stream it only
+        re-collects, so repeated calls return equal results.
+        """
+        if self._injector is not None:
+            self._injector.drive(self)
+        else:
+            self._replay(None)
+        return self._collect()
+
+    # -- checkpoint/resume ---------------------------------------------------------
 
     def run_until(self, t: float) -> None:
         """Advance the replay through every event strictly before ``t``.
 
-        Opens the resumable stream on first use; subsequent calls must not
-        move backwards.  After any number of ``run_until`` steps,
-        :meth:`run` finishes the remainder and collects — bit-identical to
-        one uninterrupted :meth:`run`.  :meth:`snapshot` freezes the state
-        at the current boundary.
+        Subsequent calls must not move backwards; ``inf`` runs to the end.
+        After any number of ``run_until`` steps, :meth:`run` finishes the
+        remainder and collects — bit-identical to one uninterrupted
+        :meth:`run`.  :meth:`snapshot` freezes the state at the current
+        boundary.
         """
         t = float(t)
-        self._ensure_stream()
-        if t < self._stream["at"]:
+        if math.isnan(t):
+            raise SimulationError("run_until(nan): the boundary must be a number")
+        at = 0.0 if self._stream is None else self._stream["at"]
+        if t < at:
             raise SimulationError(
                 f"run_until({t}) would move backwards (stream is at "
-                f"{self._stream['at']}); snapshots, not rewinds, go back in time"
+                f"{at}); snapshots, not rewinds, go back in time"
             )
-        self._step_stream(t)
+        self._replay(t)
 
     def snapshot(self):
         """Freeze the current :meth:`run_until` boundary as a `SimSnapshot`."""
@@ -983,6 +994,8 @@ class ClusterSimulator:
         self.vm_placed[vm] = True
         self.committed[server] += self.vm_caps[vm]
         self._committed_cores += float(self.vm_caps[vm, 0])
+        if self._committed_cores > self._peak_committed:
+            self._peak_committed = self._committed_cores
         self.residents[server][vm] = None
         self.vm_server[vm] = server
         if self.vm_deflatable[vm]:
@@ -1050,9 +1063,12 @@ class ClusterSimulator:
     def _handle_end_batch(self, t: float, vms: list) -> None:
         """One timestamp's departures with a single rebalance per server.
 
-        Only the observer-free, failure-free array path in :meth:`run` calls
-        this; everything else stays strictly per-event.  Equivalence with the
-        sequential loop, in full:
+        The driver (:meth:`_replay`) calls this in every replay mode —
+        one-shot, stepped, snapshot-resumed, and sharded — whenever no
+        collector and no injector is attached; observed and
+        failure-injected replays stay strictly per-event.  A ``run_until``
+        boundary never splits a batch: it cuts by time, and a batch shares
+        one timestamp.  Equivalence with the sequential loop, in full:
 
         * Detaches are independent per-VM bookkeeping, applied in the same
           event order, so the post-batch membership and committed totals are
@@ -1085,10 +1101,10 @@ class ClusterSimulator:
 
         Collectors force the per-event path because their hooks observe the
         sequential intermediate states; the golden and randomized
-        equivalence suites pin all of the above against the unbatched
-        reference simulator and stream/resume replays, and
+        equivalence suites pin all of the above against the strictly
+        per-event reference simulator, and
         ``tests/simulator/test_batched_ends.py`` pins the emptied-server
-        residue case directly.
+        residue case directly in every replay mode.
         """
         outcomes = self.outcomes
         vm_server = self.vm_server
@@ -1444,7 +1460,7 @@ class ClusterSimulator:
             priorities=prio_sel,
         )
 
-    def _collect(self, peak_committed: float) -> ClusterSimResult:
+    def _collect(self) -> ClusterSimResult:
         terms = self._metric_terms()
         agg = reduce_vm_terms(terms)
         demanded_work = agg["demanded_work"]
@@ -1474,7 +1490,7 @@ class ClusterSimulator:
             n_reclaim_failures=int(
                 (self.vm_reclaim_failure & ~self.vm_rejected).sum()
             ),
-            peak_committed_cores=peak_committed,
+            peak_committed_cores=self._peak_committed,
             total_capacity_cores=total_capacity,
             throughput_loss=(lost_work / demanded_work) if demanded_work > 0 else 0.0,
             mean_deflation=(deflation_sum / deflation_weight) if deflation_weight else 0.0,

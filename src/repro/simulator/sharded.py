@@ -39,9 +39,13 @@ How the split stays exact
   accumulation order: per-VM metric terms are re-reduced in global VM
   order through :func:`~repro.simulator.cluster_sim.reduce_vm_terms`, and
   committed-cores deltas plus injector summary terms are replayed in the
-  global event order ``(time, kind, key)`` — the same sort key both event
-  loops use.  Committed-cores values are integer-valued, so the delta
-  replay is exact.
+  global event order ``(time, kind, key)`` — the simulator driver's merge
+  key.  Committed-cores values are integer-valued, so the delta replay is
+  exact.  A shard without failures or collectors batches each
+  timestamp's departures into one logged step, exactly like a flat
+  replay; the merged peak cannot move, since departures only lower
+  committed cores and every ``(t, END)`` entry sorts before every
+  ``(t, START)`` entry.
 
 Caveats (see ``docs/engines.md``): the scenario must be partitioned; the
 degenerate pools-outnumber-servers regime is refused; metrics collectors
@@ -64,10 +68,8 @@ from repro.failures.injector import (
     _DEADLINE,
     _DIP_END,
     _DIP_START,
-    _END,
     _EVAC,
     _REVOKE,
-    _START,
     FailureInjector,
 )
 from repro.failures.models import FailureEvent, FailureModel
@@ -310,10 +312,11 @@ class _ShardSimulator(ClusterSimulator):
     trace sets (a pool may own servers but no VMs — they still count
     toward capacity and still receive failure events), (b) stashes the
     per-VM metric terms computed during collection, and (c) logs
-    ``(t, kind, vm, committed_after)`` whenever committed cores change, so
-    the merger can reconstruct the *global* committed-cores trajectory —
-    and therefore the flat run's exact peak — by replaying shard deltas in
-    global event order.
+    ``(t, kind, key, committed_after, terms)`` after every driver step
+    that changed committed cores or accrued a float failure term, so the
+    merger can reconstruct the *global* committed-cores trajectory — and
+    therefore the flat run's exact peak — plus the flat run's float
+    summary accumulations by replaying shard entries in global event order.
     """
 
     _allow_empty = True
@@ -322,76 +325,50 @@ class _ShardSimulator(ClusterSimulator):
         super().__init__(traces, config)
         self.event_log: list[tuple] = []
         self.terms: VMMetricTerms | None = None
+        self._logged_committed = 0.0
 
     def _metric_terms(self) -> VMMetricTerms:
         self.terms = super()._metric_terms()
         return self.terms
 
-    def run(self) -> ClusterSimResult:
-        if self._injector is not None:
-            # The recording injector logs events itself.
-            return super().run()
-        self._refresh_derived()
-        n = len(self.traces)
-        events = np.empty(
-            2 * n, dtype=[("t", np.float64), ("kind", np.int8), ("vm", np.int64)]
-        )
-        events["t"][:n] = self.vm_end
-        events["kind"][:n] = 0
-        events["vm"][:n] = np.arange(n)
-        events["t"][n:] = self.vm_start
-        events["kind"][n:] = 1
-        events["vm"][n:] = np.arange(n)
-        events.sort(order=("t", "kind", "vm"))
+    def _on_step(self, t: float, kind: int, key: int) -> None:
+        injector = self._injector
+        terms = ()
+        if injector is not None and injector.accrued:
+            terms = tuple(injector.accrued)
+            injector.accrued.clear()
+        committed = self._committed_cores
+        if terms or committed != self._logged_committed:
+            self.event_log.append((t, kind, key, committed, terms))
+            self._logged_committed = committed
 
-        peak = prev = 0.0
-        log = self.event_log
-        handle_start, handle_end = self._handle_start, self._handle_end
-        for t, kind, vm in zip(
-            events["t"].tolist(), events["kind"].tolist(), events["vm"].tolist()
-        ):
-            if kind == 0:
-                handle_end(t, vm)
-            else:
-                handle_start(t, vm)
-                if self._committed_cores > peak:
-                    peak = self._committed_cores
-            committed = self._committed_cores
-            if committed != prev:
-                # Log the injector's ordering codes, not the structured
-                # array's local 0/1 — the merger's (t, kind, key) sort and
-                # its server-vs-VM key remap assume one shared code space.
-                log.append((t, _END if kind == 0 else _START, vm, committed, ()))
-                prev = committed
-        return self._collect(peak)
+    def run(self) -> ClusterSimResult:
+        # The same body as ClusterSimulator.run, not a call to it:
+        # benchmarks/e2e/layers.py wraps each class's own ``run`` in a
+        # span, and one shard replay must open exactly one.
+        if self._injector is not None:
+            self._injector.drive(self)
+        else:
+            self._replay(None)
+        return self._collect()
 
 
 class _RecordingInjector(FailureInjector):
-    """Failure injector that logs per-event state for the shard merger.
+    """Failure injector that keeps each float accrual for the shard log.
 
-    Each logged entry is ``(t, kind, local_key, committed_after, terms)``
-    where ``terms`` are the ``(metric, value)`` accruals of that event, in
-    accrual order.  Entries are only logged when something order-sensitive
-    happened (committed cores changed, or a float summary term accrued);
-    everything else merges by integer summation and needs no replay.
+    ``accrued`` holds the ``(metric, value)`` terms of the current driver
+    step, in accrual order; :meth:`_ShardSimulator._on_step` moves them
+    into the shard's event log.  Everything else merges by integer
+    summation and needs no replay.
     """
 
     def _reset(self) -> None:
         super()._reset()
-        self.event_log: list[tuple] = []
-        self._pending: list[tuple[str, float]] = []
-        self._last_committed = 0.0
+        self.accrued: list[tuple[str, float]] = []
 
     def _accrue(self, metric: str, value: float) -> None:
         super()._accrue(metric, value)
-        self._pending.append((metric, value))
-
-    def _after_event(self, sim, t: float, kind: int, key: int) -> None:
-        committed = sim._committed_cores
-        if self._pending or committed != self._last_committed:
-            self.event_log.append((t, kind, key, committed, tuple(self._pending)))
-            self._pending = []
-            self._last_committed = committed
+        self.accrued.append((metric, value))
 
 
 @dataclass
@@ -431,7 +408,7 @@ def _run_shard(spec: ShardSpec) -> ShardOutput:
     result = sim.run()
 
     terms = sim.terms._replace(sel=spec.vm_global[sim.terms.sel])
-    log = sim._injector.event_log if sim._injector is not None else sim.event_log
+    log = sim.event_log
     shard_map = spec.map
     m = len(log)
     ev_t = np.empty(m, dtype=np.float64)
@@ -494,12 +471,11 @@ def _replay_events(outputs: list[ShardOutput]) -> tuple[float, dict[str, float]]
     """Replay shard event streams in global order: peak + summary scalars.
 
     The global order is ``(t, kind, key)`` with globally-remapped keys —
-    exactly the sort key of both the flat array loop and the injector
-    heap.  The committed-cores trajectory is the cumulative sum of shard
-    deltas in that order (exact: integer-valued), and its running maximum
-    is the flat run's peak.  Float summary terms are re-accumulated
-    left-to-right in the same order, reproducing the flat accumulation bit
-    for bit.
+    exactly the flat replay driver's merge key.  The committed-cores
+    trajectory is the cumulative sum of shard deltas in that order (exact:
+    integer-valued), and its running maximum is the flat run's peak.
+    Float summary terms are re-accumulated left-to-right in the same order,
+    reproducing the flat accumulation bit for bit.
     """
     t = np.concatenate([o.ev_t for o in outputs])
     scalars = dict.fromkeys(_FLOAT_SUMMARY_METRICS, 0.0)

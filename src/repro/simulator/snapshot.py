@@ -5,22 +5,24 @@ ClusterSimulator` at an event boundary — everything the replay needs to
 continue bit-identically: the per-VM and per-server arrays, the
 committed-cores scalar, the allocation-history log, collector state (via
 the ``snapshot()/restore()`` hooks on
-:class:`~repro.simulator.components.MetricsCollector`), and the injector's
-accruals plus its remaining event heap.  ``save → restore → run`` equals an
-uninterrupted run bit-for-bit (``tests/simulator/test_snapshot_roundtrip.py``
-pins this across every policy and failure regime).
+:class:`~repro.simulator.components.MetricsCollector`), the VM event
+cursor, and the injector's accruals plus its remaining failure heap.
+``save → restore → run`` equals an uninterrupted run bit-for-bit
+(``tests/simulator/test_snapshot_roundtrip.py`` pins this across every
+policy and failure regime).
 
-Restores come in two flavours, decided per injector state:
+The VM cursor always resumes verbatim; the failure side comes in two
+flavours, decided per injector state:
 
 * **resume** — the target drives the *same* failure stream the snapshot was
   taken under (same spec + topology, or both failure-free): the stored
-  event cursor/heap is reinstated verbatim.
-* **fork** — the target carries a *different* failure spec (what-if
-  branching, :func:`~repro.scenario.sweep.fork_sweep`): only legal when the
-  snapshot prefix is *pristine* (saw no failure activity), so the prefix is
-  shared by every regime; the VM-event remainder is merged with the
-  target's own schedule, and schedules with events before the boundary are
-  rejected rather than silently dropped.
+  failure heap is reinstated verbatim.
+* **fork** — the target carries a *different* failure spec, or none
+  (what-if branching, :func:`~repro.scenario.sweep.fork_sweep`): only legal
+  when the snapshot prefix is *pristine* (saw no failure activity), so the
+  prefix is shared by every regime.  The stored heap is dropped and the
+  target re-schedules its own failures, if any; schedules with events
+  before the boundary are rejected rather than silently dropped.
 
 Pure derived caches (per-server gathers, the sorted history view, scorer
 normalization rows) are deliberately *not* stored: restore resets them and
@@ -42,12 +44,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.failures.injector import _END, _START, FailureInjector
+from repro.failures.injector import FailureInjector
 from repro.simulator.cluster_sim import VMOutcome, vm_pool_assignment
 
 #: Bump on any layout change; a snapshot from another version is refused,
-#: never misread.
-SNAPSHOT_VERSION = 1
+#: never misread.  v2: the stream is the VM cursor alone (the peak moved
+#: into ``state``), and the injector heap holds failure events only.
+SNAPSHOT_VERSION = 2
 
 #: Array fields captured/restored verbatim (attribute name, snapshot key).
 _VM_ARRAYS = (
@@ -181,6 +184,7 @@ def capture(sim) -> SimSnapshot:
     state["server_alive"] = None if alive is None else alive.copy()
     state["draining_servers"] = int(sim._draining_servers)
     state["committed_cores"] = float(sim._committed_cores)
+    state["peak_committed"] = float(sim._peak_committed)
     state["n_initial_servers"] = int(sim._n_initial_servers)
     nh = sim._hist_n
     state["hist_vm"] = sim._hist_vm[:nh].copy()
@@ -195,16 +199,7 @@ def capture(sim) -> SimSnapshot:
         None if final is None else {k: v.copy() for k, v in final.items()}
     )
 
-    injector_state = None
-    if stream["mode"] == "heap":
-        injector_state = sim._injector.state_snapshot()
-        stream_state = {"mode": "heap", "peak": float(sim._injector._peak)}
-    else:
-        stream_state = {
-            "mode": "array",
-            "cursor": int(stream["cursor"]),
-            "peak": float(stream["peak"]),
-        }
+    injector_state = None if sim._injector is None else sim._injector.state_snapshot()
 
     collectors = []
     for c in sim._collectors:
@@ -221,7 +216,7 @@ def capture(sim) -> SimSnapshot:
         config=sim.config,
         n_traces=n,
         state=state,
-        stream=stream_state,
+        stream={"cursor": int(stream["cursor"])},
         injector=injector_state,
         collectors=tuple(collectors),
     )
@@ -283,6 +278,7 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     sim._server_alive = None if alive is None else alive.copy()
     sim._draining_servers = int(st["draining_servers"])
     sim._committed_cores = float(st["committed_cores"])
+    sim._peak_committed = float(st["peak_committed"])
     sim._n_initial_servers = int(st["n_initial_servers"])
     sim._preempt_log = None
     # ``_cap_eps`` is an invariant of ``server_cap`` (+1e-9 everywhere:
@@ -339,97 +335,35 @@ def restore_into(sim, snap: SimSnapshot) -> None:
 
 
 def _restore_stream(sim, snap: SimSnapshot) -> None:
-    """Reinstate the event stream: resume verbatim or fork the remainder."""
-    at = snap.at
-    mode = snap.stream["mode"]
-    if sim._injector is None:
-        if mode == "array":
-            events = sim._build_events()
-            sim._stream = {
-                "mode": "array",
-                "t": events["t"].tolist(),
-                "kind": events["kind"].tolist(),
-                "vm": events["vm"].tolist(),
-                "cursor": int(snap.stream["cursor"]),
-                "peak": float(snap.stream["peak"]),
-                "at": at,
-            }
-            return
-        # Heap-mode snapshot forked into a failure-free run ("what if no
-        # failures"): only a pristine prefix is shared; the VM remainder
-        # replays through the array stepper, whose (t, end-before-start,
-        # vm) order matches the heap's (t, _END < _START, vm) order.
-        inj_state = snap.injector
-        if not FailureInjector.state_is_pristine(inj_state):
-            raise SimulationError(
-                "cannot fork this snapshot into a failure-free run: its prefix "
-                "already saw failure activity (take the checkpoint earlier)"
-            )
-        entries = [e for e in inj_state["heap"] if e[1] in (_END, _START)]
-        entries.sort()
-        sim._stream = {
-            "mode": "array",
-            "t": [e[0] for e in entries],
-            "kind": [0 if e[1] == _END else 1 for e in entries],
-            "vm": [e[2] for e in entries],
-            "cursor": 0,
-            "peak": float(inj_state["peak"]),
-            "at": at,
-        }
-        return
-
-    injector = sim._injector
-    if mode == "array":
-        # Failure-free prefix forked under a failure spec: rebuild the
-        # merged heap from the VM remainder plus the target's own schedule.
-        events = sim._build_events()
-        cursor = int(snap.stream["cursor"])
-        vm_entries = [
-            (t, _END if k == 0 else _START, v, 0.0)
-            for t, k, v in zip(
-                events["t"].tolist()[cursor:],
-                events["kind"].tolist()[cursor:],
-                events["vm"].tolist()[cursor:],
-            )
-        ]
-        injector.start(sim, vm_entries=vm_entries)
-        _check_schedule_clear(injector, at)
-        injector._peak = float(snap.stream["peak"])
-    else:
-        inj_state = snap.injector
-        same_stream = (
-            inj_state["spec"] is not None
-            and injector.spec is not None
-            and inj_state["spec"] == injector.spec
-            and inj_state["topology"] == injector.topology
-        )
-        if same_stream:
-            injector.restore_state(inj_state)
-        elif FailureInjector.state_is_pristine(inj_state):
-            vm_entries = sorted(e for e in inj_state["heap"] if e[1] in (_END, _START))
-            injector.start(sim, vm_entries=vm_entries)
-            _check_schedule_clear(injector, at)
-            injector._peak = float(inj_state["peak"])
-        else:
-            raise SimulationError(
-                "cannot fork this snapshot into a different failure spec: its "
-                "prefix already saw failure activity under the original spec "
-                "(fork at an earlier boundary, or resume under the same spec)"
-            )
-    sim._stream = {"mode": "heap", "at": at}
-
-
-def _check_schedule_clear(injector, at: float) -> None:
-    """Refuse a fork whose target schedule fires before the boundary.
-
-    The warm prefix was simulated without those events; silently dropping
-    them would diverge from a cold run of the forked scenario, which is
-    exactly the bit-equivalence ``fork_sweep`` promises.
-    """
-    early = sum(1 for e in injector._heap if e[1] not in (_END, _START) and e[0] < at)
-    if early:
+    """Reinstate the event stream: the VM cursor, then resume or fork failures."""
+    stream = sim._build_events()
+    stream["cursor"] = int(snap.stream["cursor"])
+    stream["at"] = snap.at
+    injector, inj_state = sim._injector, snap.injector
+    same_failures = (
+        injector is not None
+        and inj_state is not None
+        and inj_state["spec"] is not None
+        and inj_state["spec"] == injector.spec
+        and inj_state["topology"] == injector.topology
+    )
+    if same_failures:
+        injector.restore_state(inj_state)
+    elif inj_state is not None and not FailureInjector.state_is_pristine(inj_state):
         raise SimulationError(
-            f"cannot fork at t={at}: the target failure schedule has {early} "
-            "event(s) before the checkpoint boundary; fork earlier or align "
-            "the schedule after the boundary"
+            "cannot fork this snapshot into a different failure spec (or none): "
+            "its prefix already saw failure activity under the original spec "
+            "(fork at an earlier boundary, or resume under the same spec)"
         )
+    elif injector is not None:
+        # Pristine prefix forked under a new schedule.
+        injector.start(sim)
+        early = sum(1 for e in injector._heap if e[0] < snap.at)
+        if early:
+            raise SimulationError(
+                f"cannot fork at t={snap.at}: the target failure schedule has "
+                f"{early} event(s) before the checkpoint boundary; fork earlier "
+                "or align the schedule after the boundary"
+            )
+    sim._stream = stream
+

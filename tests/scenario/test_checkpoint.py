@@ -134,10 +134,12 @@ class TestEngineSurface:
 
 class TestRestoreRefusals:
     def test_unknown_version(self, base, snapshot):
-        future = dataclasses.replace(snapshot, version=99)
-        sim = ClusterSimEngine().build(base)
-        with pytest.raises(SimulationError, match="v99"):
-            sim.restore(future)
+        # The retired v1 layout and a future one are refused, never misread.
+        for version in (1, 99):
+            other = dataclasses.replace(snapshot, version=version)
+            sim = ClusterSimEngine().build(base)
+            with pytest.raises(SimulationError, match=f"v{version} "):
+                sim.restore(other)
 
     def test_not_a_snapshot(self, base):
         sim = ClusterSimEngine().build(base)

@@ -120,6 +120,13 @@ class TestStreamRefusals:
         stream.advance(horizon / 2)
         with pytest.raises(SimulationError, match="backward"):
             stream.advance(horizon / 4)
+        # NaN compares false against every boundary; it must not pass for
+        # a silent no-op step.
+        with pytest.raises(SimulationError, match="nan"):
+            stream.advance(float("nan"))
+        with pytest.raises(SimulationError, match="nan"):
+            ScenarioStream(scenario).advance(float("nan"))
+        assert stream.at == horizon / 2
 
     def test_compacting_beyond_the_boundary_refused(self, scenario, horizon):
         sim = ClusterSimEngine().build(scenario)

@@ -8,8 +8,10 @@ on an empty deflatable set), so the ``reclaimed`` residue the sequential
 loop leaves behind comes from an intermediate membership the batch never
 visits — and that residue feeds the availability score of later placements.
 The handler must fall back to strict per-event processing for such
-timestamps; these tests pin both the surgical residue case and the 20k-VM
-bench case where the divergence was first observed.
+timestamps; these tests pin both the surgical residue case — in every
+replay mode, since the one driver batches one-shot, stepped and resumed
+replays alike — and the 20k-VM bench case where the divergence was first
+observed.
 """
 
 import numpy as np
@@ -37,7 +39,29 @@ def _record(vm_id, cls, cores, start, length, util):
     )
 
 
-def test_emptying_batch_matches_sequential_reclaimed_residue():
+def _one_shot(sim, traces, config):
+    return sim, sim.run()
+
+
+def _stepped_to_the_batch(sim, traces, config):
+    # The boundary sits on the batch timestamp: t=10 is left for run().
+    sim.run_until(10)
+    return sim, sim.run()
+
+
+def _resumed_from_snapshot(sim, traces, config):
+    sim.run_until(10.5)
+    resumed = ClusterSimulator(traces, config)
+    resumed.restore(sim.snapshot())
+    return resumed, resumed.run()
+
+
+@pytest.mark.parametrize(
+    "replay",
+    [_one_shot, _stepped_to_the_batch, _resumed_from_snapshot],
+    ids=["run", "stepped", "resumed"],
+)
+def test_emptying_batch_matches_sequential_reclaimed_residue(replay):
     """All deflatable residents of a server depart at one timestamp.
 
     Timeline on the single 10-core server: two 4-core interactive VMs are
@@ -49,7 +73,9 @@ def test_emptying_batch_matches_sequential_reclaimed_residue():
     sequential loop ran while one VM still remained (which restored the
     survivor and zeroed ``reclaimed``).  The handler must replay such
     timestamps per-event: afterwards, optimized and reference bookkeeping
-    agree exactly, including the scoring-visible ``reclaimed`` rows.
+    agree exactly, including the scoring-visible ``reclaimed`` rows —
+    whether the replay runs in one shot, stops right before the batch, or
+    resumes from a snapshot taken after it.
     """
     traces = VMTraceSet(
         records=[
@@ -59,9 +85,8 @@ def test_emptying_batch_matches_sequential_reclaimed_residue():
         ]
     )
     config = ClusterSimConfig(n_servers=1, cores_per_server=10.0, policy="deterministic")
-    opt = ClusterSimulator(traces, config)
+    opt, opt_result = replay(ClusterSimulator(traces, config), traces, config)
     ref = ReferenceClusterSimulator(traces, config)
-    opt_result = opt.run()
     ref_result = ref.run()
     # The scenario must actually deflate, or the residue path was never hit.
     assert opt_result.mean_deflation > 0.0

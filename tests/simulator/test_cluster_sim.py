@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.vm import VMClass
 from repro.errors import SimulationError
+from repro.failures import FailureInjector
 from repro.simulator.cluster_sim import (
     ClusterSimConfig,
     ClusterSimulator,
@@ -218,3 +219,34 @@ class TestServersForOvercommitment:
     def test_negative_rejected(self, azure_trace):
         with pytest.raises(SimulationError):
             servers_for_overcommitment(azure_trace, -0.1)
+
+
+class TestRunIsIdempotent:
+    """A second ``run()`` on a finished replay only re-collects."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        traces = synthesize_azure_trace(AzureTraceConfig(n_vms=500, seed=3))
+        n_servers = servers_for_overcommitment(traces, 0.4)
+        return traces, ClusterSimConfig(n_servers=n_servers, policy="priority")
+
+    def test_plain(self, setup):
+        sim = ClusterSimulator(*setup)
+        assert sim.run() == sim.run()
+
+    def test_injector_attached(self, setup):
+        sim = ClusterSimulator(*setup)
+        sim.attach_failures(
+            FailureInjector.from_spec({"model": "spot", "rate": 0.004, "seed": 5})
+        )
+        first = sim.run()
+        assert first.collected["failure-injection"]["revocations"] > 0
+        assert sim.run() == first
+
+    def test_stepped_with_run_until(self, setup):
+        traces, config = setup
+        sim = ClusterSimulator(traces, config)
+        sim.run_until(traces.horizon() / 2)
+        first = sim.run()
+        assert sim.run() == first
+        assert first == ClusterSimulator(traces, config).run()

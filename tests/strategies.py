@@ -120,10 +120,10 @@ def waterfill_stress_scenario(rng: np.random.Generator, index: int = 0) -> Scena
     them: deep overcommitment so solves run cap-adjacent, high QoS floors
     so pools are nearly exhausted (cap-saturated, with identical per-class
     VM shapes producing tied breakpoints), and occasional tiny clusters
-    whose servers host only one or two deflatable VMs.  Failure-free by
-    design: the batched departure hot path only runs on the failure-free
-    array loop, and this generator exists to hammer exactly that path
-    against the per-event stream/resume and sharded replays.
+    whose servers host only one or two deflatable VMs.  Failure-free and
+    observer-free by design: those are the replays whose departures the
+    driver batches, in every mode, and this generator exists to hammer
+    exactly that path against the strictly per-event reference simulator.
     """
     tiny = rng.random() < 0.3
     n_vms = int(rng.integers(8, 26)) if tiny else int(rng.integers(60, 181))
