@@ -5,7 +5,7 @@ Usage::
     repro-lint [paths ...]            # default: src examples, from the root
     repro-lint --list-rules
     repro-lint --format json src
-    repro-lint --select no-module-rng,golden-freeze src
+    repro-lint --select rng-taint,golden-freeze src
     repro-lint --update-baseline src examples
 
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.

@@ -1,13 +1,8 @@
 """Markdown link checking (stdlib only; no repro imports).
 
-This module is the engine behind two front doors:
-
-* ``scripts/check_links.py`` — the standalone CLI the CI docs job runs
-  (it loads this file by path, so the script works without ``PYTHONPATH``);
-* the ``docs-links`` lint rule (:mod:`repro.analysis.rules.docs_links`) —
-  the same checks folded into the one ``repro-lint`` entry point.
-
-Checks, per markdown file:
+The engine behind the ``docs-links`` lint rule
+(:mod:`repro.analysis.rules.docs_links`), which runs it from the one
+``repro-lint`` entry point.  Checks, per markdown file:
 
 * inline links ``[text](target)`` and reference definitions
   ``[label]: target`` — relative file targets must exist (resolved against
@@ -32,7 +27,6 @@ and inline code count too, which plain link checking cannot see.
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
 
 _FENCE = re.compile(r"^(```|~~~)")
@@ -144,11 +138,6 @@ def check_file_errors(path: Path) -> list[tuple[int, str]]:
     return errors
 
 
-def check_file(path: Path) -> list[str]:
-    """Broken links in one file, formatted ``path:lineno: message``."""
-    return [f"{path}:{lineno}: {msg}" for lineno, msg in check_file_errors(path)]
-
-
 def referenced_docs_errors(root: Path) -> list[tuple[Path, int, str]]:
     """``docs/*.md`` mentions in the top-level pages that do not exist.
 
@@ -169,38 +158,3 @@ def referenced_docs_errors(root: Path) -> list[tuple[Path, int, str]]:
                         (page, lineno, f"referenced docs page {m.group(0)!r} does not exist")
                     )
     return errors
-
-
-def collect(args: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for arg in args:
-        p = Path(arg)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.md")))
-        elif p.suffix == ".md":
-            files.append(p)
-        else:
-            print(f"warning: skipping non-markdown argument {arg}", file=sys.stderr)
-    return files
-
-
-def main(argv: list[str]) -> int:
-    files = collect(argv or ["README.md", "docs"])
-    if not files:
-        print("no markdown files found", file=sys.stderr)
-        return 1
-    errors: list[str] = []
-    for f in files:
-        errors.extend(check_file(f))
-    errors.extend(
-        f"{page}:{lineno}: {msg}"
-        for page, lineno, msg in referenced_docs_errors(Path.cwd())
-    )
-    for err in errors:
-        print(err, file=sys.stderr)
-    print(f"checked {len(files)} files: {len(errors)} broken links")
-    return min(len(errors), 125)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

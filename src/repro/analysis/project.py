@@ -37,7 +37,7 @@ from pathlib import Path
 from repro.analysis.core import ImportMap, ModuleSource
 
 #: register-family functions whose call sites declare components.
-_REGISTER_FNS = frozenset({"register", "register_value", "register_instance"})
+REGISTER_FNS = frozenset({"register", "register_value", "register_instance"})
 
 #: Maximum binding-chain length followed when resolving re-exports.
 _RESOLVE_DEPTH = 16
@@ -116,7 +116,8 @@ def _dotted(expr: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def _literal_str(node: ast.expr | None) -> str | None:
+def literal_str(node: ast.expr | None) -> str | None:
+    """The value of a string-literal expression, else None."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
@@ -194,12 +195,12 @@ class _ModuleIndexer(ast.NodeVisitor):
     def _maybe_registration(self, call: ast.AST, target: str | None) -> None:
         if not isinstance(call, ast.Call):
             return
-        if self.imports.registry_call(call.func) not in _REGISTER_FNS:
+        if self.imports.registry_call(call.func) not in REGISTER_FNS:
             return
         args = list(call.args)
         kwargs = {k.arg: k.value for k in call.keywords if k.arg}
-        kind = _literal_str(args[0] if args else kwargs.get("kind"))
-        name = _literal_str(args[1] if len(args) > 1 else kwargs.get("name"))
+        kind = literal_str(args[0] if args else kwargs.get("kind"))
+        name = literal_str(args[1] if len(args) > 1 else kwargs.get("name"))
         if kind is not None and name is not None:
             self.index.registrations.append(
                 Registration(kind, name, self.module, call, target)
@@ -350,24 +351,31 @@ class ProjectIndex:
                 matches = preferred
         return min(matches, key=lambda c: c.qualname) if matches else None
 
-    def mro_methods(self, cls: ClassInfo, depth: int = 8) -> dict[str, ast.AST]:
-        """Methods visible on ``cls`` through index-resolvable bases."""
-        methods: dict[str, ast.AST] = {}
-        stack: list[tuple[ClassInfo, int]] = [(cls, 0)]
+    def ancestors(self, cls: ClassInfo, depth: int = 8) -> list[ClassInfo]:
+        """``cls`` then its index-resolvable bases, breadth-first (MRO-like)."""
+        order: list[ClassInfo] = []
+        queue: list[tuple[ClassInfo, int]] = [(cls, 0)]
         seen: set[str] = set()
-        while stack:
-            current, d = stack.pop(0)
+        while queue:
+            current, d = queue.pop(0)
             if current.qualname in seen or d > depth:
                 continue
             seen.add(current.qualname)
-            for name, node in current.methods().items():
-                methods.setdefault(name, node)
+            order.append(current)
             mod_name = self.module_names.get(current.module.rel)
             for base in current.bases:
                 fq = self.resolve_in_module(mod_name, base) if mod_name else None
                 resolved = self.resolve(fq) if fq else None
                 if isinstance(resolved, ClassInfo):
-                    stack.append((resolved, d + 1))
+                    queue.append((resolved, d + 1))
+        return order
+
+    def mro_methods(self, cls: ClassInfo) -> dict[str, ast.AST]:
+        """Methods visible on ``cls`` through index-resolvable bases."""
+        methods: dict[str, ast.AST] = {}
+        for current in self.ancestors(cls):
+            for name, node in current.methods().items():
+                methods.setdefault(name, node)
         return methods
 
     # -- call graph --------------------------------------------------------------
@@ -396,21 +404,10 @@ class ProjectIndex:
         if head == "self" and info.class_qualname is not None and rest:
             # Walk the (index-resolvable) MRO: the method may live on a base.
             cls = self.classes.get(info.class_qualname)
-            stack, seen = ([cls] if cls else []), set()
-            while stack:
-                current = stack.pop(0)
-                if current.qualname in seen:
-                    continue
-                seen.add(current.qualname)
+            for current in self.ancestors(cls) if cls else ():
                 candidate = f"{current.qualname}.{rest}"
                 if candidate in self.functions:
                     return candidate
-                mod = self.module_names.get(current.module.rel)
-                for base in current.bases:
-                    fq = self.resolve_in_module(mod, base) if mod else None
-                    resolved = self.resolve(fq) if fq else None
-                    if isinstance(resolved, ClassInfo):
-                        stack.append(resolved)
             return None
         fq = self.resolve_in_module(mod_name, dotted)
         if fq is None:

@@ -11,7 +11,6 @@ from repro.analysis.rules import (  # noqa: F401  (imports trigger registration)
     determinism,
     docs_links,
     golden,
-    merge,
     pool_discipline,
     registry_rules,
     rng_taint,

@@ -10,6 +10,14 @@ silently reports zeros.  The same shape applies to ``engine`` components
 class definition through the
 :class:`~repro.analysis.project.ProjectIndex` and checks, statically:
 
+* **required methods** — present on the class or an indexed ancestor;
+* **opt-out contracts** — a metrics collector implements ``merge_shards``
+  (the sharded engine's exact per-shard fold, docs/engines.md) or
+  declares ``mergeable = False``, and implements both ``snapshot`` and
+  ``restore`` (checkpoint/resume's exact state round-trip) or declares
+  ``snapshottable = False``.  The ``MetricsCollector`` base's raising
+  defaults do not count; the class or any other indexed ancestor may
+  supply the method or the opt-out;
 * **unknown hooks** — an ``on_*`` method the base protocol does not
   define (never dispatched);
 * **misspellings** — a method whose name is a near-miss of a protocol
@@ -18,7 +26,8 @@ class definition through the
   count the dispatcher calls the base method with.
 
 When a protocol base class is not in the index (a partial lint over a
-subtree), the corresponding checks are skipped rather than guessed.
+subtree, a single-file fixture), only the opt-out contracts are checked;
+everything that needs the base is skipped rather than guessed.
 """
 
 from __future__ import annotations
@@ -33,11 +42,26 @@ from repro.registry import register
 RULE = "hook-conformance"
 
 #: registration kind -> (protocol class name, preferred module prefix,
-#: methods every component must provide, inherited or not).
+#: requirements).  A requirement is ``(methods, opt_out)``: with
+#: ``opt_out`` None the methods may come from anywhere in the MRO, base
+#: included; otherwise the base only supplies a raising default, so the
+#: class or a non-base ancestor must define them or set ``opt_out = False``.
 _PROTOCOLS = {
-    "metrics": ("MetricsCollector", "repro.simulator", ()),
-    "engine": ("Engine", "repro.scenario", ("run",)),
-    "failure": ("FailureModel", "repro.failures", ("events",)),
+    "metrics": (
+        "MetricsCollector",
+        "repro.simulator",
+        ((("merge_shards",), "mergeable"), (("snapshot", "restore"), "snapshottable")),
+    ),
+    "engine": ("Engine", "repro.scenario", ((("run",), None),)),
+    "failure": ("FailureModel", "repro.failures", ((("events",), None),)),
+}
+
+#: Why each opt-out contract exists, for the finding message.
+_OPT_OUT_REASONS = {
+    "mergeable": "the sharded engine's merge discipline requires one or the other",
+    "snapshottable": (
+        "checkpoint/resume needs the exact state round-trip or an explicit opt-out"
+    ),
 }
 
 _CLOSE_MATCH_CUTOFF = 0.8
@@ -49,6 +73,21 @@ def _positional_arity(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[int, 
     minimum = positional - len(fn.args.defaults)
     maximum = None if fn.args.vararg is not None else positional
     return minimum, maximum
+
+
+def _opted_out(lineage: list[ClassInfo], flag: str) -> bool:
+    """True when the nearest class assigning ``flag`` sets it to False."""
+    for cls in lineage:
+        for stmt in cls.node.body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == flag for t in targets):
+                return isinstance(value, ast.Constant) and value.value is False
+    return False
 
 
 def _protocol_methods(cls: ClassInfo) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
@@ -91,8 +130,8 @@ class HookConformanceRule(LintRule):
                 continue
             seen.add(key)
             base = bases[reg.kind]
-            if base is None or resolved.qualname == base.qualname:
-                continue  # partial lint, or the protocol registering itself
+            if base is not None and resolved.qualname == base.qualname:
+                continue  # the protocol registering itself
             yield from self._check_class(index, reg, resolved, base)
 
     def _check_class(
@@ -100,23 +139,39 @@ class HookConformanceRule(LintRule):
         index: ProjectIndex,
         reg: Registration,
         cls: ClassInfo,
-        base: ClassInfo,
+        base: ClassInfo | None,
     ):
         module = cls.module
-        protocol = _protocol_methods(base)
-        required = _PROTOCOLS[reg.kind][2]
+        short = cls.qualname.rpartition(".")[2]
+        lineage = [
+            c for c in index.ancestors(cls) if base is None or c.qualname != base.qualname
+        ]
+        defined = {name for c in lineage for name in c.methods()}
         visible = index.mro_methods(cls)
+        for methods, opt_out in _PROTOCOLS[reg.kind][2]:
+            if opt_out is not None:
+                missing = sorted(set(methods) - defined)
+                if missing and not _opted_out(lineage, opt_out):
+                    yield module.finding(
+                        RULE,
+                        cls.node,
+                        f"{reg.kind} collector {short} is missing {'/'.join(missing)} "
+                        f"and does not declare `{opt_out} = False` — "
+                        f"{_OPT_OUT_REASONS[opt_out]}",
+                    )
+                continue
+            for method in methods:
+                if base is not None and method not in visible:
+                    yield module.finding(
+                        RULE,
+                        cls.node,
+                        f"{short} is registered as {reg.kind} {reg.name!r} but "
+                        f"neither defines nor inherits required method {method}()",
+                    )
 
-        for method in required:
-            if method not in visible:
-                yield module.finding(
-                    RULE,
-                    cls.node,
-                    f"{cls.qualname.rpartition('.')[2]} is registered as "
-                    f"{reg.kind} {reg.name!r} but neither defines nor inherits "
-                    f"required method {method}()",
-                )
-
+        if base is None:
+            return
+        protocol = _protocol_methods(base)
         for name, node in sorted(cls.methods().items()):
             if name.startswith("_"):
                 continue

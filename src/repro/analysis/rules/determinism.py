@@ -1,13 +1,12 @@
-"""Determinism rules: all randomness is seeded and passed, no wall-clock.
+"""Determinism rules: no wall-clock, no unordered iteration, in the core.
 
 Every headline guarantee in this repo — serial == parallel == sharded,
 warm cache == cold cache, golden bit-equivalence — reduces to one
-discipline: results are a pure function of the scenario.  These rules
-statically reject the three ways that discipline historically breaks:
+discipline: results are a pure function of the scenario.  The RNG half
+of that discipline (seeded, passed generators; no module-level draws) is
+owned by the whole-program ``rng-taint`` rule.  These per-file rules
+reject the two other ways it historically breaks:
 
-* drawing from *module-level* RNG state (``random.random()``,
-  ``np.random.rand()``, ``np.random.seed``) or an *unseeded*
-  ``default_rng()`` — anywhere in the linted tree;
 * reading the wall clock (``time.time()``, ``datetime.now()``) inside the
   simulation core (``repro/simulator``, ``repro/failures``,
   ``repro/scenario``), where it could leak into results;
@@ -19,36 +18,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import (
-    ImportMap,
-    LintContext,
-    LintRule,
-    ModuleSource,
-    in_sim_path,
-    in_taint_path,
-)
+from repro.analysis.core import ImportMap, LintContext, LintRule, ModuleSource, in_sim_path
 from repro.registry import register
-
-#: numpy.random attributes that are deterministic plumbing, not draws:
-#: constructing an explicitly seeded generator is the *sanctioned* idiom.
-_NP_ALLOWED = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
-)
-
-#: stdlib ``random`` attributes that do not touch module-level state.
-#: (``random.Random(seed)`` is a private, seeded stream — acceptable;
-#: ``SystemRandom`` is OS entropy and therefore never reproducible.)
-_STDLIB_ALLOWED = frozenset({"Random"})
 
 _TIME_FNS = frozenset(
     {
@@ -63,71 +34,6 @@ _TIME_FNS = frozenset(
     }
 )
 _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-
-
-@register("lint", "no-module-rng")
-class NoModuleRngRule(LintRule):
-    """Module-level RNG draws and unseeded generators are forbidden."""
-
-    name = "no-module-rng"
-    scope = "file"
-    description = (
-        "randomness must flow from an explicitly seeded generator "
-        "(np.random.default_rng(seed) passed as rng); module-level draws "
-        "like np.random.rand()/random.random()/np.random.seed() and "
-        "unseeded default_rng() are nondeterministic across runs"
-    )
-
-    def check(self, module: ModuleSource, ctx: LintContext):
-        tree = module.tree
-        if tree is None:
-            return
-        imports = ImportMap(tree)
-        if not (
-            imports.numpy_aliases
-            or imports.npr_aliases
-            or imports.npr_funcs
-            or imports.random_aliases
-            or imports.random_funcs
-        ):
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = imports.numpy_random_attr(node.func)
-            if fn is not None:
-                if fn == "default_rng":
-                    # Inside the taint-covered tree the whole-program
-                    # rng-taint rule owns this check (and more: const
-                    # re-seeds, module-level generators); the lexical
-                    # gate only covers the rest of the linted tree.
-                    if (
-                        not node.args
-                        and not node.keywords
-                        and not in_taint_path(module.rel)
-                    ):
-                        yield module.finding(
-                            self.name,
-                            node,
-                            "unseeded np.random.default_rng() — pass an explicit "
-                            "seed so the stream is reproducible",
-                        )
-                elif fn not in _NP_ALLOWED:
-                    yield module.finding(
-                        self.name,
-                        node,
-                        f"module-level numpy RNG call np.random.{fn}() — draw from "
-                        "a passed, seeded np.random.Generator instead",
-                    )
-                continue
-            fn = imports.stdlib_random_attr(node.func)
-            if fn is not None and fn not in _STDLIB_ALLOWED:
-                yield module.finding(
-                    self.name,
-                    node,
-                    f"stdlib random.{fn}() uses hidden module-level state — use a "
-                    "seeded np.random.Generator (or random.Random(seed)) instead",
-                )
 
 
 @register("lint", "no-wallclock")

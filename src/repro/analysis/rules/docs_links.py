@@ -1,7 +1,6 @@
 """docs-links rule: the markdown tree resolves, from the one lint door.
 
-Folds the standalone link checker (``scripts/check_links.py``, still the
-CI docs job's entry point) into ``repro-lint``:
+Runs the :mod:`repro.analysis.mdlinks` checks inside ``repro-lint``:
 
 * every relative link and anchor in ``README.md`` + ``docs/`` (plus
   ``ISSUE.md`` / ``ROADMAP.md`` when present) must resolve
@@ -51,10 +50,7 @@ class DocsLinksRule(LintRule):
 
     def check_repo(self, ctx: LintContext):
         root = ctx.root
-        targets: list[Path] = []
-        for name in ("README.md", "ISSUE.md", "ROADMAP.md"):
-            if (root / name).exists():
-                targets.append(root / name)
+        targets = [root / name for name in mdlinks.TOP_PAGES if (root / name).exists()]
         docs_dir = root / "docs"
         if docs_dir.is_dir():
             targets.extend(sorted(docs_dir.rglob("*.md")))

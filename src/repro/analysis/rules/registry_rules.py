@@ -22,6 +22,7 @@ import re
 from typing import Iterator
 
 from repro.analysis.core import ImportMap, LintContext, LintRule, ModuleSource, is_test_path
+from repro.analysis.project import REGISTER_FNS, literal_str
 from repro.registry import register
 
 #: The registry kinds this repo defines (ROADMAP "Established
@@ -44,7 +45,6 @@ KNOWN_KINDS = frozenset(
     }
 )
 
-_REGISTER_FNS = frozenset({"register", "register_value", "register_instance"})
 _LOOKUP_FNS = frozenset(
     {"create", "resolve", "validate", "is_registered", "names", "unregister"}
 )
@@ -52,12 +52,6 @@ _LOOKUP_FNS = frozenset(
 #: Backticked names in docs tables, and lexical ranges between two of them.
 _BACKTICKED = re.compile(r"`([\w\-.]+)`")
 _RANGE = re.compile(r"`([\w\-.]+)`\s*(?:…|\.\.\.)\s*`([\w\-.]+)`")
-
-
-def _literal_str(node: ast.expr | None) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
 
 
 def iter_register_calls(
@@ -74,7 +68,7 @@ def iter_register_calls(
         if not isinstance(node, ast.Call):
             continue
         fn = imports.registry_call(node.func)
-        if fn is None or fn not in (_REGISTER_FNS | _LOOKUP_FNS):
+        if fn is None or fn not in (REGISTER_FNS | _LOOKUP_FNS):
             continue
         args = list(node.args)
         kwargs = {k.arg: k.value for k in node.keywords if k.arg}
@@ -108,7 +102,7 @@ class RegistryCallDisciplineRule(LintRule):
         if not imports.registry_funcs and not imports.registry_mod_aliases:
             return
         for node, fn, kind_node, name_node in iter_register_calls(tree, imports):
-            kind = _literal_str(kind_node)
+            kind = literal_str(kind_node)
             if kind is None:
                 yield module.finding(
                     self.name,
@@ -124,7 +118,7 @@ class RegistryCallDisciplineRule(LintRule):
                     f"{sorted(KNOWN_KINDS)} — new kinds are introduced by "
                     "extending KNOWN_KINDS and docs/registry.md together",
                 )
-            if fn in _REGISTER_FNS and _literal_str(name_node) is None:
+            if fn in REGISTER_FNS and literal_str(name_node) is None:
                 yield module.finding(
                     self.name,
                     node,
@@ -147,28 +141,6 @@ def documented_names(doc_text: str, registered: set[str]) -> set[str]:
     return covered
 
 
-def collect_registrations(ctx: LintContext) -> list[tuple[ModuleSource, ast.Call, str, str]]:
-    """Every static ``(kind, name)`` registration in the linted tree."""
-    out = []
-    for module in ctx.modules:
-        if is_test_path(module.rel):
-            continue
-        tree = module.tree
-        if tree is None:
-            continue
-        imports = ImportMap(tree)
-        if not imports.registry_funcs and not imports.registry_mod_aliases:
-            continue
-        for node, fn, kind_node, name_node in iter_register_calls(tree, imports):
-            if fn not in _REGISTER_FNS:
-                continue
-            kind = _literal_str(kind_node)
-            name = _literal_str(name_node)
-            if kind is not None and name is not None:
-                out.append((module, node, kind, name))
-    return out
-
-
 @register("lint", "registry-docs")
 class RegistryDocsRule(LintRule):
     """Every registered component appears in docs/registry.md."""
@@ -182,26 +154,26 @@ class RegistryDocsRule(LintRule):
     )
 
     def check_repo(self, ctx: LintContext):
-        registrations = collect_registrations(ctx)
+        registrations = [
+            reg for reg in ctx.project.registrations if not is_test_path(reg.module.rel)
+        ]
         if not registrations:
             return
         doc_text = ctx.read_doc("docs/registry.md")
         if doc_text is None:
-            module, node, _, _ = registrations[0]
-            yield module.finding(
+            yield registrations[0].module.finding(
                 self.name,
-                node,
+                registrations[0].node,
                 "docs/registry.md is missing — the component catalogue must "
                 "exist for registered components to be discoverable",
             )
             return
-        registered = {name for _, _, _, name in registrations}
-        covered = documented_names(doc_text, registered)
-        for module, node, kind, name in registrations:
-            if name not in covered:
-                yield module.finding(
+        covered = documented_names(doc_text, {reg.name for reg in registrations})
+        for reg in registrations:
+            if reg.name not in covered:
+                yield reg.module.finding(
                     self.name,
-                    node,
-                    f"{kind} component {name!r} is not catalogued in "
+                    reg.node,
+                    f"{reg.kind} component {reg.name!r} is not catalogued in "
                     "docs/registry.md — add it to the kind's row",
                 )

@@ -192,18 +192,18 @@ class MetricsCollector:
     """
 
     name: str = "abstract"
-    #: Merge-discipline declaration (enforced statically by repro-lint):
-    #: a concrete collector either overrides :meth:`merge_shards` or sets
-    #: ``mergeable = False`` to state — in code, not prose — that its
-    #: payload has no exact per-shard fold.  The sharded engine rejects
-    #: ``mergeable = False`` collectors eagerly.
+    #: Merge-discipline declaration (enforced statically by repro-lint,
+    #: ``hook-conformance``): a concrete collector either overrides
+    #: :meth:`merge_shards` or sets ``mergeable = False`` to state — in
+    #: code, not prose — that its payload has no exact per-shard fold.
+    #: The sharded engine rejects ``mergeable = False`` collectors eagerly.
     mergeable: bool = True
     #: Snapshot-discipline declaration (enforced statically by repro-lint,
-    #: ``collector-snapshot-discipline``): a concrete collector either
-    #: overrides :meth:`snapshot` *and* :meth:`restore` or sets
-    #: ``snapshottable = False`` to state that its run cannot be
-    #: checkpointed.  ``ClusterSimulator.snapshot()`` rejects
-    #: ``snapshottable = False`` collectors eagerly.
+    #: ``hook-conformance``): a concrete collector either overrides
+    #: :meth:`snapshot` *and* :meth:`restore` or sets ``snapshottable =
+    #: False`` to state that its run cannot be checkpointed.
+    #: ``ClusterSimulator.snapshot()`` rejects ``snapshottable = False``
+    #: collectors eagerly.
     snapshottable: bool = True
 
     def on_admit(self, t: float, vm: int, server: int, sim) -> None:
@@ -386,7 +386,7 @@ class CommittedTimelineCollector(MetricsCollector):
     samples the cluster-*wide* committed sum, and the entries carry no
     per-event ordering key, so per-shard series cannot be interleaved back
     into the flat run's exact point sequence.  ``mergeable = False``
-    declares that (the collector-merge-discipline lint rule insists every
+    declares that (the hook-conformance lint rule insists every
     collector choose); scenarios using it must run on the ``cluster-sim``
     engine — the sharded engine rejects it eagerly.
     """

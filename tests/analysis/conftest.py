@@ -13,19 +13,29 @@ import pytest
 
 import repro.analysis  # noqa: F401  (registers the rule pack)
 from repro.analysis.core import Finding, LintContext, ModuleSource
-from repro.registry import create
+from repro.analysis.runner import build_rules
 
 
 def _lint_snippet(
     code: str,
-    rule: str,
+    rule: str | None,
     rel: str = "src/repro/simulator/snippet.py",
     root: Path | None = None,
 ) -> list[Finding]:
-    """Run one file-scope rule over an inline snippet at a synthetic path."""
+    """Run one rule (None: the whole pack) over an inline snippet.
+
+    File-scope rules see the snippet as a module; repo-scope rules see it
+    as the whole linted tree (a one-module :class:`ProjectIndex`).
+    """
     module = ModuleSource(Path("/fixture") / rel, rel, text=code)
     ctx = LintContext(root=root or Path("/fixture"), modules=[module])
-    return list(create("lint", rule).check(module, ctx))
+    findings: list[Finding] = []
+    for lint_rule in build_rules(None if rule is None else [rule]):
+        if lint_rule.scope == "repo":
+            findings.extend(lint_rule.check_repo(ctx))
+        else:
+            findings.extend(lint_rule.check(module, ctx))
+    return findings
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ class TestExitCodes:
         rc = main([str(root / "src"), "--root", str(root)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "src/repro/simulator/mod.py:2: no-module-rng:" in out
+        assert "src/repro/simulator/mod.py:2: rng-taint:" in out
 
     def test_missing_path_exits_two(self, make_repo, capsys):
         root = _repo(make_repo, _CLEAN)
@@ -52,7 +52,7 @@ class TestFormatsAndSelection:
         rc = main([str(root / "src"), "--root", str(root), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 1
-        assert payload["findings"][0]["rule"] == "no-module-rng"
+        assert payload["findings"][0]["rule"] == "rng-taint"
         assert payload["findings"][0]["path"] == "src/repro/simulator/mod.py"
 
     def test_select_runs_only_named_rules(self, make_repo, capsys):
@@ -67,14 +67,13 @@ class TestFormatsAndSelection:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "no-module-rng",
+            "rng-taint",
             "no-wallclock",
             "no-set-iteration",
             "golden-freeze",
             "registry-call-discipline",
             "registry-docs",
-            "collector-merge-discipline",
-            "failure-rng-discipline",
+            "hook-conformance",
             "scenario-schema-docs",
             "docs-links",
         ):
@@ -111,7 +110,7 @@ class TestBaselineWorkflow:
         root = _repo(
             make_repo,
             "import numpy as np\n"
-            "x = np.random.rand()  # repro-lint: disable=no-module-rng\n",
+            "x = np.random.rand()  # repro-lint: disable=rng-taint\n",
         )
         rc = main([str(root / "src"), "--root", str(root)])
         out = capsys.readouterr().out

@@ -21,10 +21,10 @@ def _module(text: str, rel: str = "src/repro/simulator/x.py") -> ModuleSource:
 
 class TestSuppressions:
     def test_line_suppression_matches_named_rule_only(self):
-        m = _module("x = 1  # repro-lint: disable=no-module-rng\n")
-        assert m.suppressed("no-module-rng", 1)
+        m = _module("x = 1  # repro-lint: disable=rng-taint\n")
+        assert m.suppressed("rng-taint", 1)
         assert not m.suppressed("no-wallclock", 1)
-        assert not m.suppressed("no-module-rng", 2)
+        assert not m.suppressed("rng-taint", 2)
 
     def test_multiple_rules_one_comment(self):
         m = _module("x = 1  # repro-lint: disable=rule-a, rule-b\n")

@@ -14,9 +14,21 @@ from repro.analysis.runner import build_rules, run_lint
 from repro.registry import names
 
 
-def test_rule_pack_has_at_least_sixteen_rules():
-    pack = names("lint")
-    assert len(pack) >= 16, pack
+def test_rule_pack_is_exactly_the_twelve_rules():
+    assert set(names("lint")) == {
+        "dead-component",
+        "docs-links",
+        "golden-freeze",
+        "hook-conformance",
+        "no-set-iteration",
+        "no-wallclock",
+        "pool-discipline",
+        "registry-call-discipline",
+        "registry-docs",
+        "rng-taint",
+        "scenario-schema-docs",
+        "worker-purity",
+    }
 
 
 def test_whole_program_rules_are_registered():

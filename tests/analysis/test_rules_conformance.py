@@ -34,6 +34,11 @@ _BASES = {
 }
 
 
+#: Collector fixtures that exercise the hook checks opt out of the merge
+#: and snapshot contracts, which TestOptOutContracts covers.
+_OPTED_OUT = "    mergeable = False\n    snapshottable = False\n"
+
+
 def _lint(root: Path, *, baseline=None):
     return run_lint(
         [root / "src"], root=root, select=["hook-conformance"], baseline_path=baseline
@@ -55,7 +60,8 @@ class TestPositive:
             "from repro.registry import register\n"
             "@register('metrics', 'demo')\n"
             "class Demo:\n"
-            "    def merge_shard(self, shards):\n"
+            + _OPTED_OUT
+            + "    def merge_shard(self, shards):\n"
             "        pass\n",
         )
         report = _lint(root)
@@ -123,6 +129,10 @@ class TestNegative:
             "        pass\n"
             "    def merge_shards(self, shards):\n"
             "        pass\n"
+            "    def snapshot(self):\n"
+            "        return {}\n"
+            "    def restore(self, state):\n"
+            "        pass\n"
             "    def finalize(self):\n"
             "        return {'n': 0}\n",
         )
@@ -145,7 +155,8 @@ class TestNegative:
             "from repro.registry import register\n"
             "@register('metrics', 'demo')\n"
             "class Demo:\n"
-            "    def on_admit(self, t, vm, detail=None):\n"
+            + _OPTED_OUT
+            + "    def on_admit(self, t, vm, detail=None):\n"
             "        pass\n"
             "    def on_preempt(self, *args):\n"
             "        pass\n",
@@ -162,7 +173,8 @@ class TestNegative:
             "        pass\n"
             "@register('metrics', 'demo2')\n"
             "class Demo2:\n"
-            "    def _on_internal(self, t):\n"
+            + _OPTED_OUT
+            + "    def _on_internal(self, t):\n"
             "        pass\n"
             "    def finalize(self):\n"
             "        return {}\n",
@@ -170,14 +182,17 @@ class TestNegative:
         assert _lint(root).findings == []
 
     def test_partial_lint_without_base_is_silent(self, make_repo):
-        # Base protocol class not in the linted tree: skip, don't guess.
+        # Base protocol class not in the linted tree: skip the hook checks,
+        # don't guess (the opt-out contracts need no base and are still
+        # checked; see test_rules_merge.py).
         root = make_repo(
             {
                 "src/pkg/component.py": (
                     "from repro.registry import register\n"
                     "@register('metrics', 'demo')\n"
                     "class Demo:\n"
-                    "    def merge_shard(self, shards):\n"
+                    + _OPTED_OUT
+                    + "    def merge_shard(self, shards):\n"
                     "        pass\n"
                 )
             }
@@ -185,12 +200,83 @@ class TestNegative:
         assert _lint(root).findings == []
 
 
+class TestOptOutContracts:
+    """merge_shards or ``mergeable = False``; snapshot + restore or
+    ``snapshottable = False`` — from the class or a non-base ancestor."""
+
+    _A = (
+        "from repro.registry import register\n"
+        "from repro.simulator.components import MetricsCollector\n"
+        "@register('metrics', 'a')\n"
+        "class A(MetricsCollector):\n"
+        "    def merge_shards(self, shards):\n"
+        "        pass\n"
+        "    def snapshot(self):\n"
+        "        return {}\n"
+        "    def restore(self, state):\n"
+        "        pass\n"
+    )
+    _B = (
+        "from pkg.a import A\n"
+        "from repro.registry import register\n"
+        "@register('metrics', 'b')\n"
+        "class B(A):\n"
+        "    def on_admit(self, t, vm):\n"
+        "        pass\n"
+    )
+
+    def test_inherited_protocol_methods_satisfy_contracts(self, make_repo):
+        """B inherits a real merge_shards/snapshot/restore from A; the full
+        pack must not flag it (the catalogue and a README mention keep the
+        docs and liveness rules quiet)."""
+        root = make_repo(
+            {
+                "src/pkg/a.py": self._A,
+                "src/pkg/b.py": self._B,
+                "docs/registry.md": "| `metrics` | `a`, `b` |\n",
+                "README.md": "Collectors `a` and `b`.\n",
+            }
+        )
+        assert run_lint([root / "src"], root=root).findings == []
+
+    def test_inherited_opt_out_satisfies_contracts(self, make_repo):
+        root = _repo(
+            make_repo,
+            "from repro.registry import register\n"
+            "class Unsharded:\n"
+            + _OPTED_OUT
+            + "@register('metrics', 'demo')\n"
+            "class Demo(Unsharded):\n"
+            "    def on_admit(self, t, vm):\n"
+            "        pass\n",
+        )
+        assert _lint(root).findings == []
+
+    def test_base_defaults_do_not_satisfy_contracts(self, make_repo):
+        # The fixture base defines merge_shards, like the real base's
+        # raising default: inheriting it proves nothing.
+        root = _repo(
+            make_repo,
+            "from repro.registry import register\n"
+            "from repro.simulator.components import MetricsCollector\n"
+            "@register('metrics', 'demo')\n"
+            "class Demo(MetricsCollector):\n"
+            "    def on_admit(self, t, vm):\n"
+            "        pass\n",
+        )
+        messages = [f.message for f in _lint(root).findings]
+        assert len(messages) == 2
+        assert "missing merge_shards and does not declare `mergeable = False`" in messages[0]
+        assert "missing restore/snapshot and does not declare" in messages[1]
+
+
 class TestSuppressionAndBaseline:
     _BAD = (
         "from repro.registry import register\n"
         "@register('metrics', 'demo')\n"
         "class Demo:\n"
-        "    def merge_shard(self, shards):  {comment}\n"
+        + _OPTED_OUT
+        + "    def merge_shard(self, shards):  {comment}\n"
         "        pass\n"
     )
 

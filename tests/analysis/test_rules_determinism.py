@@ -13,41 +13,43 @@ OUTSIDE = "src/repro/traces/snippet.py"
 
 
 class TestNoModuleRng:
+    """The lexical module-level RNG checks, owned by ``rng-taint``."""
+
     def test_numpy_module_draw_fires(self, lint_snippet):
-        hits = lint_snippet("import numpy as np\nx = np.random.rand(3)\n", "no-module-rng")
+        hits = lint_snippet("import numpy as np\nx = np.random.rand(3)\n", "rng-taint")
         assert len(hits) == 1 and hits[0].line == 2
 
     def test_numpy_seed_fires(self, lint_snippet):
-        hits = lint_snippet("import numpy as np\nnp.random.seed(0)\n", "no-module-rng")
+        hits = lint_snippet("import numpy as np\nnp.random.seed(0)\n", "rng-taint")
         assert len(hits) == 1
 
     def test_submodule_alias_fires(self, lint_snippet):
         code = "import numpy.random as npr\nx = npr.normal(size=4)\n"
-        assert len(lint_snippet(code, "no-module-rng")) == 1
+        assert len(lint_snippet(code, "rng-taint")) == 1
 
     def test_from_import_fires(self, lint_snippet):
         code = "from numpy.random import shuffle\nshuffle([1, 2])\n"
-        assert len(lint_snippet(code, "no-module-rng")) == 1
+        assert len(lint_snippet(code, "rng-taint")) == 1
 
     def test_stdlib_random_fires(self, lint_snippet):
         code = "import random\nx = random.random()\n"
-        assert len(lint_snippet(code, "no-module-rng")) == 1
+        assert len(lint_snippet(code, "rng-taint")) == 1
 
     def test_stdlib_from_import_fires(self, lint_snippet):
         code = "from random import randint\nx = randint(0, 3)\n"
-        assert len(lint_snippet(code, "no-module-rng")) == 1
+        assert len(lint_snippet(code, "rng-taint")) == 1
 
     def test_unseeded_default_rng_fires_outside_taint_paths(self, lint_snippet):
-        # Inside taint-covered paths the whole-program rng-taint rule owns
-        # this check (see test_rules_rng_taint.py); lexically it still
-        # fires everywhere else.
+        # The unseeded check has no path carve-out: it fires everywhere.
         code = "import numpy as np\nrng = np.random.default_rng()\n"
-        hits = lint_snippet(code, "no-module-rng", rel=OUTSIDE)
+        hits = lint_snippet(code, "rng-taint", rel=OUTSIDE)
         assert len(hits) == 1 and "unseeded" in hits[0].message
 
     def test_seeded_default_rng_is_clean(self, lint_snippet):
+        # Outside the taint paths: inside them a module-scope generator is
+        # shared state, whatever its seed (test_rules_rng_taint.py).
         code = "import numpy as np\nrng = np.random.default_rng(42)\n"
-        assert lint_snippet(code, "no-module-rng") == []
+        assert lint_snippet(code, "rng-taint", rel=OUTSIDE) == []
 
     def test_passed_generator_draws_are_clean(self, lint_snippet):
         code = (
@@ -55,23 +57,23 @@ class TestNoModuleRng:
             "def events(n, rng: np.random.Generator):\n"
             "    return rng.exponential(1.0, size=n)\n"
         )
-        assert lint_snippet(code, "no-module-rng") == []
+        assert lint_snippet(code, "rng-taint") == []
 
     def test_seeded_random_random_instance_is_clean(self, lint_snippet):
         code = "import random\nr = random.Random(7)\n"
-        assert lint_snippet(code, "no-module-rng") == []
+        assert lint_snippet(code, "rng-taint") == []
 
     def test_system_random_fires(self, lint_snippet):
         code = "import random\nr = random.SystemRandom()\n"
-        assert len(lint_snippet(code, "no-module-rng")) == 1
+        assert len(lint_snippet(code, "rng-taint")) == 1
 
     def test_fires_outside_sim_paths_too(self, lint_snippet):
         code = "import numpy as np\nx = np.random.rand()\n"
-        assert len(lint_snippet(code, "no-module-rng", rel="examples/demo.py")) == 1
+        assert len(lint_snippet(code, "rng-taint", rel="examples/demo.py")) == 1
 
     def test_unrelated_attribute_chains_are_clean(self, lint_snippet):
         code = "import numpy as np\nclass T:\n    def f(self, rng):\n        return rng.random()\n"
-        assert lint_snippet(code, "no-module-rng") == []
+        assert lint_snippet(code, "rng-taint") == []
 
 
 class TestNoWallclock:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import write_baseline
-from repro.analysis.runner import run_lint
+from repro.analysis.runner import build_rules, run_lint
 
 
 def _lint(root: Path, *, select=("rng-taint",), baseline=None, extra_paths=()):
@@ -23,8 +23,8 @@ class TestPositive:
     def test_cross_module_const_reseed_below_threaded_caller(self, make_repo):
         """The headline true positive: a seeded rng threaded into one module
         is silently replaced by a fixed stream in a helper two calls away.
-        Every per-file rule passes this code — ``no-module-rng`` allows
-        ``default_rng(0)`` lexically — only the call graph sees it."""
+        Every per-file rule passes this code, and ``default_rng(0)`` is a
+        lexically sanctioned construction — only the call graph sees it."""
         root = make_repo(
             {
                 "src/repro/simulator/run.py": (
@@ -48,8 +48,9 @@ class TestPositive:
         assert f.path == "src/repro/simulator/noise.py"
         assert "perturb <- run" in f.message
         # No per-file rule sees anything wrong with either module.
+        file_rules = [r.name for r in build_rules() if r.scope == "file"]
         per_file = run_lint([root / "src"], root=root, baseline_path=None,
-                            select=["no-module-rng"])
+                            select=file_rules)
         assert per_file.findings == []
 
     def test_reseed_inside_threaded_function(self, make_repo):
@@ -68,9 +69,9 @@ class TestPositive:
         assert "holds a threaded rng" in report.findings[0].message
 
     def test_module_level_generator_state(self, make_repo):
-        """Seeded module-scope rngs pass ``no-module-rng`` (``default_rng``
-        is on its allow-list) — only the whole-program rule flags the
-        shared-state hazard."""
+        """A seeded module-scope rng passes the lexical checks
+        (``default_rng`` is on their allow-list); inside the taint paths it
+        is still flagged as shared generator state."""
         root = make_repo(
             {
                 "src/repro/scenario/state.py": (
@@ -78,7 +79,7 @@ class TestPositive:
                 )
             }
         )
-        report = _lint(root, select=("rng-taint", "no-module-rng"))
+        report = _lint(root)
         assert [f.rule for f in report.findings] == ["rng-taint"]
         assert "module-level generator 'RNG'" in report.findings[0].message
 
@@ -92,9 +93,8 @@ class TestPositive:
                 )
             }
         )
-        report = _lint(root, select=("rng-taint", "no-module-rng"))
-        # rng-taint owns the finding in taint-covered paths; the lexical
-        # gate stays silent there (no double report).
+        report = _lint(root)
+        # One finding, not one per check that recognises the call.
         assert [f.rule for f in report.findings] == ["rng-taint"]
         assert "unseeded" in report.findings[0].message
 
@@ -110,6 +110,38 @@ class TestPositive:
         )
         report = _lint(root)
         assert any("parameter default" in f.message for f in report.findings)
+
+
+class TestOneFindingPerNode:
+    def test_seed_in_failure_model_is_one_finding_from_full_pack(self, lint_snippet):
+        """``np.random.seed`` inside a registered failure model trips both
+        the module-level-state check and the failure-model check; the
+        whole pack reports it once."""
+        code = (
+            "import numpy as np\n"
+            "from repro.registry import register\n"
+            "@register('failure', 'reseeding')\n"
+            "class Reseeding:\n"
+            "    def events(self, n_servers, horizon, rng):\n"
+            "        np.random.seed(1)\n"
+            "        return []\n"
+        )
+        findings = lint_snippet(code, None, rel="src/repro/failures/snippet.py")
+        on_seed_line = [f for f in findings if f.line == 6]
+        assert [f.rule for f in on_seed_line] == ["rng-taint"]
+        assert "failure model Reseeding touches np.random.seed" in on_seed_line[0].message
+
+    def test_failure_model_checked_outside_taint_paths(self, lint_snippet):
+        code = (
+            "import numpy as np\n"
+            "from repro.registry import register\n"
+            "@register('failure', 'own-stream')\n"
+            "class OwnStream:\n"
+            "    def __init__(self, seed):\n"
+            "        self.rng = np.random.default_rng(seed)\n"
+        )
+        hits = lint_snippet(code, "rng-taint", rel="examples/plugin.py")
+        assert len(hits) == 1 and "failure model OwnStream" in hits[0].message
 
 
 class TestNegative:
@@ -143,7 +175,7 @@ class TestNegative:
         assert _lint(root).findings == []
 
     def test_unseeded_outside_covered_paths_still_lexically_caught(self, make_repo):
-        # Retiring the gate must not lose coverage elsewhere.
+        # The unseeded check has no path carve-out.
         root = make_repo(
             {
                 "src/repro/traces/demo.py": (
@@ -153,8 +185,8 @@ class TestNegative:
                 )
             }
         )
-        report = _lint(root, select=("rng-taint", "no-module-rng"))
-        assert [f.rule for f in report.findings] == ["no-module-rng"]
+        report = _lint(root)
+        assert [f.rule for f in report.findings] == ["rng-taint"]
 
 
 class TestSuppressionAndBaseline:

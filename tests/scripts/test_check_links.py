@@ -1,21 +1,17 @@
-"""Unit tests for the docs link checker (``scripts/check_links.py``).
+"""Unit tests for the markdown link checks behind the ``docs-links`` rule.
 
-The checker gates the CI docs job, so it needs its own tests: a checker
+The checks gate the CI lint job, so they need their own tests: a checker
 that silently passes broken anchors (or flags valid ones) corrupts the
 whole docs-stay-honest discipline.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "check_links.py"
-_spec = importlib.util.spec_from_file_location("check_links", _SCRIPT)
-check_links = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_links)
+from repro.analysis import mdlinks
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -37,21 +33,21 @@ class TestSlugs:
         ],
     )
     def test_github_slug(self, heading, slug):
-        assert check_links.github_slug(heading) == slug
+        assert mdlinks.github_slug(heading) == slug
 
     def test_duplicate_headings_get_suffixes(self, tmp_path):
         page = write(
             tmp_path, "page.md", "# Setup\ntext\n## Setup\nmore\n## Setup\n"
         )
-        assert {"setup", "setup-1", "setup-2"} <= check_links.anchor_slugs(page)
+        assert {"setup", "setup-1", "setup-2"} <= mdlinks.anchor_slugs(page)
 
     def test_html_anchors_count(self, tmp_path):
         page = write(tmp_path, "page.md", '<a id="pinned"></a>\n<a name="legacy">\n')
-        assert {"pinned", "legacy"} <= check_links.anchor_slugs(page)
+        assert {"pinned", "legacy"} <= mdlinks.anchor_slugs(page)
 
     def test_headings_in_code_blocks_ignored(self, tmp_path):
         page = write(tmp_path, "page.md", "```\n# not a heading\n```\n# Real\n")
-        slugs = check_links.anchor_slugs(page)
+        slugs = mdlinks.anchor_slugs(page)
         assert "real" in slugs and "not-a-heading" not in slugs
 
 
@@ -61,34 +57,34 @@ class TestCheckFile:
         page = write(
             tmp_path, "page.md", "[ok](other.md) and [ok](other.md#target-section)\n"
         )
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
     def test_broken_file_target(self, tmp_path):
         page = write(tmp_path, "page.md", "[nope](missing.md)\n")
-        errors = check_links.check_file(page)
-        assert len(errors) == 1 and "missing.md" in errors[0]
+        errors = mdlinks.check_file_errors(page)
+        assert len(errors) == 1 and "missing.md" in errors[0][1]
 
     def test_broken_anchor(self, tmp_path):
         write(tmp_path, "other.md", "# Only Section\n")
         page = write(tmp_path, "page.md", "[nope](other.md#absent)\n")
-        errors = check_links.check_file(page)
-        assert len(errors) == 1 and "#absent" in errors[0]
+        errors = mdlinks.check_file_errors(page)
+        assert len(errors) == 1 and "#absent" in errors[0][1]
 
     def test_same_file_fragment(self, tmp_path):
         page = write(tmp_path, "page.md", "# Intro\n[up](#intro) [bad](#outro)\n")
-        errors = check_links.check_file(page)
-        assert len(errors) == 1 and "#outro" in errors[0]
+        errors = mdlinks.check_file_errors(page)
+        assert len(errors) == 1 and "#outro" in errors[0][1]
 
     def test_duplicate_heading_anchor_resolves(self, tmp_path):
         write(tmp_path, "other.md", "## Round\n## Round\n")
         page = write(tmp_path, "page.md", "[second](other.md#round-1)\n")
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
     def test_external_urls_not_fetched(self, tmp_path):
         page = write(
             tmp_path, "page.md", "[x](https://example.invalid/nope) [y](mailto:a@b)\n"
         )
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
     def test_links_in_code_ignored(self, tmp_path):
         page = write(
@@ -96,7 +92,7 @@ class TestCheckFile:
             "page.md",
             "```\n[no](missing.md)\n```\ninline `[no](missing.md)` code\n",
         )
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
     def test_reference_definitions_checked(self, tmp_path):
         write(tmp_path, "real.md", "# Here\n")
@@ -106,21 +102,21 @@ class TestCheckFile:
             "See [the page][good] and [more][bad].\n\n"
             "[good]: real.md#here\n[bad]: gone.md\n",
         )
-        errors = check_links.check_file(page)
-        assert len(errors) == 1 and "gone.md" in errors[0]
+        errors = mdlinks.check_file_errors(page)
+        assert len(errors) == 1 and "gone.md" in errors[0][1]
 
     def test_undefined_reference_flagged(self, tmp_path):
         page = write(tmp_path, "page.md", "A [dangling][nowhere] reference.\n")
-        errors = check_links.check_file(page)
-        assert len(errors) == 1 and "nowhere" in errors[0]
+        errors = mdlinks.check_file_errors(page)
+        assert len(errors) == 1 and "nowhere" in errors[0][1]
 
     def test_collapsed_reference_uses_text_as_label(self, tmp_path):
         page = write(tmp_path, "page.md", "[Spec][] here.\n\n[spec]: page.md\n")
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
     def test_indexing_prose_is_not_a_reference(self, tmp_path):
         page = write(tmp_path, "page.md", "use `arr[i][0]` to index\n")
-        assert check_links.check_file(page) == []
+        assert mdlinks.check_file_errors(page) == []
 
 
 class TestReferencedDocs:
@@ -128,7 +124,7 @@ class TestReferencedDocs:
 
     def test_prose_mention_of_missing_page_flagged(self, tmp_path):
         write(tmp_path, "README.md", "the catalogue is `docs/phantom.md`\n")
-        errors = check_links.referenced_docs_errors(tmp_path)
+        errors = mdlinks.referenced_docs_errors(tmp_path)
         assert len(errors) == 1
         page, lineno, msg = errors[0]
         assert page.name == "README.md" and lineno == 1
@@ -137,43 +133,22 @@ class TestReferencedDocs:
     def test_existing_mentions_pass(self, tmp_path):
         write(tmp_path, "ROADMAP.md", "see docs/real.md for details\n")
         write(tmp_path, "docs/real.md", "# Real\n")
-        assert check_links.referenced_docs_errors(tmp_path) == []
+        assert mdlinks.referenced_docs_errors(tmp_path) == []
 
     def test_absent_top_pages_are_skipped(self, tmp_path):
-        assert check_links.referenced_docs_errors(tmp_path) == []
+        assert mdlinks.referenced_docs_errors(tmp_path) == []
 
     def test_non_top_pages_are_not_scanned(self, tmp_path):
         write(tmp_path, "docs/inner.md", "mentions docs/phantom.md freely\n")
-        assert check_links.referenced_docs_errors(tmp_path) == []
-
-    def test_main_folds_referenced_docs_into_exit_status(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        write(tmp_path, "README.md", "# Top\n\nsee `docs/phantom.md`\n")
-        monkeypatch.chdir(tmp_path)
-        assert check_links.main(["README.md"]) == 1
-        assert "phantom" in capsys.readouterr().err
+        assert mdlinks.referenced_docs_errors(tmp_path) == []
 
 
 class TestMain:
-    def test_exit_status_counts_errors(self, tmp_path, monkeypatch, capsys):
-        write(tmp_path, "docs/a.md", "[bad](gone.md)\n[worse](also-gone.md)\n")
-        monkeypatch.chdir(tmp_path)
-        assert check_links.main(["docs"]) == 2
-        out = capsys.readouterr()
-        assert "2 broken links" in out.out
-
-    def test_clean_tree_exits_zero(self, tmp_path, monkeypatch):
-        write(tmp_path, "docs/a.md", "# A\n[b](b.md)\n")
-        write(tmp_path, "docs/b.md", "# B\n[a](a.md#a)\n")
-        monkeypatch.chdir(tmp_path)
-        assert check_links.main(["docs"]) == 0
-
     def test_repo_docs_pass_with_anchors(self):
         """The real tree must stay clean under the extended checker."""
         repo = Path(__file__).resolve().parents[2]
         files = [repo / "README.md", *sorted((repo / "docs").rglob("*.md"))]
         errors = []
         for f in files:
-            errors.extend(check_links.check_file(f))
+            errors.extend(mdlinks.check_file_errors(f))
         assert errors == []
