@@ -237,6 +237,27 @@ def partition_for_priority(priority: float, boundaries: tuple[float, ...] = (0.3
     return f"pool-{idx}"
 
 
+def cosine_row_norms(mat: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Row half of the cosine fitness: each row's 2-norm, floored at ``eps``.
+
+    Depends on its own row only, so callers may cache it per server and
+    recompute just the rows that changed.
+    """
+    # Inlined 2-norm (what np.linalg.norm(mat, axis=1) computes for real
+    # float64, bit for bit) — skips the linalg dispatch on this hot path.
+    return np.maximum(np.sqrt(np.add.reduce(mat * mat, axis=1)), eps)
+
+
+def cosine_scores_by_row(
+    demand: np.ndarray, mat: np.ndarray, row_norms: np.ndarray, eps: float = 1e-12
+) -> np.ndarray:
+    """Demand half of the cosine fitness: one gemv over rows with known norms."""
+    dnorm = float(np.linalg.norm(demand))
+    if dnorm < eps:
+        raise PlacementError("demand vector must be non-zero")
+    return (mat @ demand) / (row_norms * dnorm)
+
+
 def vectorized_cosine_scores(
     demand: np.ndarray, availability_matrix: np.ndarray, eps: float = 1e-12
 ) -> np.ndarray:
@@ -249,10 +270,4 @@ def vectorized_cosine_scores(
     if demand.shape != (NUM_RESOURCES,):
         raise PlacementError(f"demand must have shape ({NUM_RESOURCES},)")
     mat = np.asarray(availability_matrix, dtype=np.float64)
-    # Inlined 2-norm (what np.linalg.norm(mat, axis=1) computes for real
-    # float64, bit for bit) — skips the linalg dispatch on this hot path.
-    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
-    dnorm = float(np.linalg.norm(demand))
-    if dnorm < eps:
-        raise PlacementError("demand vector must be non-zero")
-    return (mat @ demand) / (np.maximum(norms, eps) * dnorm)
+    return cosine_scores_by_row(demand, mat, cosine_row_norms(mat, eps), eps)

@@ -57,6 +57,14 @@ from the reference):
   reclaim_plan` objects cached alongside the resident gathers, so the
   priority policy's breakpoint sort is paid once per membership change,
   not once per solve;
+* placement scores cached per-server rows: every server's normalised
+  availability vector, as the scorer's row state (cosine: the padded row
+  and its norm), is recomputed only when a write to that server's
+  ``committed`` / ``reclaimed`` / ``defl_cap`` / ``defl_floor`` /
+  ``server_cap`` marks it dirty, so an arrival pays one gather and one
+  gemv over its candidates instead of rebuilding every candidate's
+  availability (``_fresh_rows``; ``tests/simulator/test_placement_rows.py``
+  checks the cache against a full recomputation after every event);
 * whenever no collector and no injector is attached, the driver
   coalesces each timestamp's run of departures into one rebalance per
   touched server — in every replay mode, one-shot, stepped, resumed, and
@@ -91,6 +99,15 @@ from repro.traces.schema import VMTraceRecord, VMTraceSet
 #: Resource dimensions used for bin-packing and deflation (paper: "We
 #: consider each VM's CPU core count and memory size").
 _DIMS = 2  # 0 = cpu cores, 1 = memory MB
+
+
+def _both_dims(mask: np.ndarray) -> np.ndarray:
+    """``mask.all(axis=1)`` for a ``(rows, _DIMS)`` mask, as two column ANDs.
+
+    The same booleans; the per-arrival fleet-wide fit tests call this, and
+    a reduction over a length-2 axis costs more than the comparison itself.
+    """
+    return mask[:, 0] & mask[:, 1]
 
 
 @dataclass(frozen=True)
@@ -515,8 +532,16 @@ class ClusterSimulator:
         #: Per-server cached eviction order (ascending priority) for the
         #: preemption baseline; same invalidation discipline.
         self._srv_victims: list[list[int] | None] = [None] * s
-        #: Constant per-event operands, hoisted out of the loop.
+        #: ``server_cap + 1e-9``, hoisted out of the per-event comparisons;
+        #: :meth:`_set_capacity` keeps it current.
         self._cap_eps = self.server_cap + 1e-9
+        #: The scorer's :meth:`~PlacementScorer.row_state` of every server's
+        #: normalised availability row (None = rebuild every row).  Writers
+        #: of a server's ``committed`` / ``reclaimed`` / ``defl_cap`` /
+        #: ``defl_floor`` / ``server_cap`` row add it to ``_dirty_rows``;
+        #: :meth:`_fresh_rows` recomputes just those before scoring.
+        self._rows: tuple[np.ndarray, ...] | None = None
+        self._dirty_rows: set[int] = set()
         #: Candidate index arrays, precomputed once (read-only).
         self._all_servers = np.arange(s)
         # Partition assignment: deflatable pools 0..n_partitions-1 by
@@ -594,8 +619,13 @@ class ClusterSimulator:
         if self._server_alive is None:
             self._server_alive = np.ones(len(self.residents), dtype=bool)
         self._server_alive[server] = False
-        self.server_cap[server] = 0.0
-        self._cap_eps[server] = 1e-9
+        self._set_capacity(server, 0.0)
+
+    def _set_capacity(self, server: int, row) -> None:
+        """Write one server's capacity row (revocations and capacity dips)."""
+        self.server_cap[server] = row
+        self._cap_eps[server] = self.server_cap[server] + 1e-9
+        self._dirty_rows.add(server)
 
     def _mark_draining(self, server: int) -> None:
         """Stop placements onto a server pending revocation (warning window).
@@ -642,6 +672,7 @@ class ClusterSimulator:
         self._srv_cache.append(None)
         self._srv_victims.append(None)
         self._all_servers = np.arange(n + 1)
+        self._rows = None
         if self._server_alive is not None:
             self._server_alive = np.append(self._server_alive, True)
         if cfg.partitioned:
@@ -919,11 +950,11 @@ class ClusterSimulator:
         whole_cluster = candidates is self._all_servers
         if self._stock_admission:
             if whole_cluster:  # gather-free: candidates are rows 0..s-1
-                no_deflation = (self.committed + demand <= self._cap_eps).all(axis=1)
+                no_deflation = _both_dims(self.committed + demand <= self._cap_eps)
             else:
-                no_deflation = (
+                no_deflation = _both_dims(
                     self.committed[candidates] + demand <= self._cap_eps[candidates]
-                ).all(axis=1)
+                )
             if no_deflation.all():
                 pool_idx = candidates
             elif no_deflation.any():
@@ -940,59 +971,88 @@ class ClusterSimulator:
                 feas_idx = feas_idx[self._server_alive[feas_idx]]
             if feas_idx.size == 0:
                 return False
-            no_deflation = (
+            no_deflation = _both_dims(
                 self.committed[feas_idx] + demand <= self._cap_eps[feas_idx]
-            ).all(axis=1)
+            )
             pool_idx = feas_idx[no_deflation] if no_deflation.any() else feas_idx
 
         if pool_idx.size == 1:
             # argmax over one candidate is that candidate; skip the scoring.
             server = int(pool_idx[0])
         else:
-            # Availability (Section 5.2): free + deflatable/overcommitment.
-            if pool_idx is self._all_servers:
-                com, recl = self.committed, self.reclaimed
-                dcap, dfloor, scap = self.defl_cap, self.defl_floor, self.server_cap
-            else:
-                com, recl = self.committed[pool_idx], self.reclaimed[pool_idx]
-                dcap, dfloor = self.defl_cap[pool_idx], self.defl_floor[pool_idx]
-                scap = self.server_cap[pool_idx]
-            used = com - recl
-            free = np.maximum(scap - used, 0.0)
-            headroom = np.maximum((dcap - recl) - dfloor, 0.0)
-            oc = np.maximum(com / scap, 1.0)
-            availability = free + headroom / oc
-            server = self._choose_server(vm, pool_idx, availability, scap)
+            server = self._choose_server(vm, pool_idx)
 
         self._admit(t, vm, server)
         self._rebalance(t, server)
         return True
 
-    def _choose_server(
-        self,
-        vm: int,
-        pool_idx: np.ndarray,
-        availability: np.ndarray,
-        cap_rows: np.ndarray | None = None,
-    ) -> int:
+    def _choose_server(self, vm: int, pool_idx: np.ndarray) -> int:
         """Rank candidate servers with the configured scorer; argmax wins.
 
-        Both vectors are normalized into capacity fractions so scorers
-        compare shapes, not raw units (memory MB would dwarf CPU cores).
-        ``cap_rows`` carries ``server_cap[pool_idx]`` when the caller already
-        gathered it.
+        Scores the candidates' cached rows (:meth:`_fresh_rows`): demand
+        and availability are both capacity fractions, so scorers compare
+        shapes, not raw units (memory MB would dwarf CPU cores).
         """
-        if cap_rows is None:
-            cap_rows = self.server_cap[pool_idx]
-        avail_norm = availability / cap_rows
-        scores = self._scorer.score(self._demand_norm[vm], avail_norm)
+        rows = self._fresh_rows()
+        if pool_idx is not self._all_servers:
+            rows = tuple([a[pool_idx] for a in rows])
+        scores = self._scorer.score_rows(self._demand_norm[vm], rows)
         return int(pool_idx[int(np.argmax(scores))])
+
+    def _fresh_rows(self) -> tuple[np.ndarray, ...]:
+        """Every server's scorer row state, with the dirty rows recomputed.
+
+        Rows are independent (elementwise formulas, row-wise scorer state),
+        so recomputing a few of them gives the same bits as recomputing all.
+        """
+        rows, dirty = self._rows, self._dirty_rows
+        if rows is not None and not dirty:
+            return rows
+        if rows is None:
+            idx = slice(None)
+        elif len(dirty) == 1:
+            # The common case (one admit or departure since the last
+            # placement): slice views instead of gathers and scatters.
+            server = dirty.pop()
+            idx = slice(server, server + 1)
+        else:
+            idx = np.fromiter(dirty, np.int64, len(dirty))
+        dirty.clear()
+        if self._server_alive is None:
+            state = self._scorer.row_state(self._availability(idx))
+        else:
+            # Revoked servers have zero capacity; the liveness mask keeps
+            # their (NaN) rows out of every ranking.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                state = self._scorer.row_state(self._availability(idx))
+        if rows is None:
+            self._rows = tuple(state)
+        else:
+            for cached, fresh in zip(rows, state):
+                cached[idx] = fresh
+        return self._rows
+
+    def _availability(self, idx) -> np.ndarray:
+        """Availability rows of servers ``idx`` as capacity fractions.
+
+        Section 5.2: free capacity plus the deflatable headroom divided by
+        the overcommitment.  Under the preemption baseline nothing is ever
+        reclaimed or deflated, so the row is the free capacity alone.
+        """
+        com, recl, scap = self.committed[idx], self.reclaimed[idx], self.server_cap[idx]
+        free = np.maximum(scap - (com - recl), 0.0)
+        if self._policy is None:
+            return free / scap
+        headroom = np.maximum((self.defl_cap[idx] - recl) - self.defl_floor[idx], 0.0)
+        oc = np.maximum(com / scap, 1.0)
+        return (free + headroom / oc) / scap
 
     def _admit(self, t: float, vm: int, server: int) -> None:
         out = self.outcomes[vm]
         out.placed = True
         self.vm_placed[vm] = True
         self.committed[server] += self.vm_caps[vm]
+        self._dirty_rows.add(server)
         self._committed_cores += float(self.vm_caps[vm, 0])
         if self._committed_cores > self._peak_committed:
             self._peak_committed = self._committed_cores
@@ -1022,6 +1082,7 @@ class ClusterSimulator:
         evacuations/kills; the caller decides what the removal *means*.
         """
         self.committed[server] -= self.vm_caps[vm]
+        self._dirty_rows.add(server)
         self._committed_cores -= float(self.vm_caps[vm, 0])
         del self.residents[server][vm]
         if self.vm_deflatable[vm]:
@@ -1040,6 +1101,7 @@ class ClusterSimulator:
         the next tick.
         """
         self.committed[server] += self.vm_caps[vm]
+        self._dirty_rows.add(server)
         self._committed_cores += float(self.vm_caps[vm, 0])
         self.residents[server][vm] = None
         if self.vm_deflatable[vm]:
@@ -1201,6 +1263,7 @@ class ClusterSimulator:
             if not result.satisfied:
                 unsatisfied = True
         self.reclaimed[server] = new_reclaimed.sum(axis=0)
+        self._dirty_rows.add(server)
         if unsatisfied:
             # Should not happen (feasibility was checked at admission), but a
             # departure race could in principle expose it; count it.
@@ -1226,10 +1289,10 @@ class ClusterSimulator:
             free = self.server_cap - self.committed
         else:
             free = self.server_cap[candidates] - self.committed[candidates]
-        fits = (free >= self._vm_caps_eps[vm]).all(axis=1)
-        fit_idx = candidates[fits]
+        fits = _both_dims(free >= self._vm_caps_eps[vm])
+        fit_idx = candidates if fits.all() else candidates[fits]
         if fit_idx.size > 0:
-            self._admit(t, vm, self._choose_server(vm, fit_idx, np.maximum(free[fits], 0.0)))
+            self._admit(t, vm, self._choose_server(vm, fit_idx))
             return True
         if self.vm_deflatable[vm]:
             # Low-priority arrivals are not allowed to preempt others.

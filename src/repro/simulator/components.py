@@ -27,7 +27,7 @@ import abc
 
 import numpy as np
 
-from repro.core.placement import vectorized_cosine_scores
+from repro.core.placement import cosine_row_norms, cosine_scores_by_row
 from repro.core.resources import NUM_RESOURCES
 from repro.errors import SimulationError
 from repro.failures.injector import _ARRIVAL, _DEADLINE, _DIP_END, _DIP_START, _REVOKE
@@ -105,7 +105,14 @@ class RigidAdmission(AdmissionController):
 
 
 class PlacementScorer(abc.ABC):
-    """Scores candidate servers; the simulator picks the argmax."""
+    """Scores candidate servers; the simulator picks the argmax.
+
+    A plug-in defines :meth:`score`.  The simulator calls it through the
+    per-row hook :meth:`row_state` / :meth:`score_rows`, whose defaults
+    pass the availability rows straight to :meth:`score`; a scorer with
+    per-row work of its own (cosine's row norms) overrides the pair so
+    that work is cached per server instead of redone per arrival.
+    """
 
     name: str = "abstract"
 
@@ -119,6 +126,20 @@ class PlacementScorer(abc.ABC):
         toward the lower server index (``np.argmax`` semantics).
         """
 
+    def row_state(self, avail_norm: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-row state of ``avail_norm``: arrays indexed by row on axis 0.
+
+        Row ``i`` of every array must depend on ``avail_norm[i]`` alone:
+        the simulator keeps this state for every server, recomputes only
+        the rows of servers whose state changed, and hands the candidates'
+        rows to :meth:`score_rows`.
+        """
+        return (avail_norm,)
+
+    def score_rows(self, demand_norm: np.ndarray, state: tuple[np.ndarray, ...]) -> np.ndarray:
+        """:meth:`score` over the rows of a :meth:`row_state` result."""
+        return self.score(demand_norm, *state)
+
 
 @register("scorer", "cosine")
 class CosineScorer(PlacementScorer):
@@ -126,31 +147,32 @@ class CosineScorer(PlacementScorer):
 
     This is the ranking previously inlined at both the deflation and the
     preemption call sites of the event loop; the vectors are padded to
-    ``NUM_RESOURCES`` dimensions to reuse the shared scoring kernel.
+    ``NUM_RESOURCES`` dimensions to reuse the shared scoring kernel.  The
+    row state is the padded rows plus their norms, so an arrival pays
+    one gemv over the candidates' cached rows.
     """
 
     name = "cosine"
 
     def __init__(self) -> None:
-        # Reused padding buffers: scoring runs once per arrival, and the
-        # per-call np.zeros + np.concatenate used to dominate its cost.  The
-        # padded layout itself is kept — BLAS results are bit-sensitive to
-        # the operand width, and the golden tests pin the padded scores.
+        # Reused demand padding buffer (scoring runs once per arrival).
+        # The padded layout itself is kept — BLAS results are bit-sensitive
+        # to the operand width, and the golden tests pin the padded scores.
         self._demand_buf = np.zeros(NUM_RESOURCES)
-        self._avail_buf = np.zeros((0, NUM_RESOURCES))
 
-    def score(self, demand_norm, avail_norm):
-        dims = demand_norm.shape[0]
+    def row_state(self, avail_norm):
+        mat = np.zeros((avail_norm.shape[0], NUM_RESOURCES))
+        mat[:, : avail_norm.shape[1]] = avail_norm
+        return mat, cosine_row_norms(mat)
+
+    def score_rows(self, demand_norm, state):
         demand_full = self._demand_buf
         demand_full[:] = 0.0
-        demand_full[:dims] = demand_norm
-        rows = avail_norm.shape[0]
-        if self._avail_buf.shape[0] < rows:
-            self._avail_buf = np.zeros((rows, NUM_RESOURCES))
-        mat = self._avail_buf[:rows]
-        mat[:, :dims] = avail_norm
-        mat[:, dims:] = 0.0
-        return vectorized_cosine_scores(demand_full, mat)
+        demand_full[: demand_norm.shape[0]] = demand_norm
+        return cosine_scores_by_row(demand_full, *state)
+
+    def score(self, demand_norm, avail_norm):
+        return self.score_rows(demand_norm, self.row_state(avail_norm))
 
 
 @register("scorer", "most-available")

@@ -289,6 +289,7 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     # Pure caches: reset, they rebuild bit-identically on demand.
     sim._srv_cache = [None] * s
     sim._srv_victims = [None] * s
+    sim._rows = None  # every placement row dirty
     sim._hist_sorted = None
     nh = st["hist_vm"].size
     cap = max(4 * n, 64, nh)

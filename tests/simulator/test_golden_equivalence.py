@@ -23,11 +23,13 @@ while the reference preserves the old behaviour.  Every case here uses
 
 import pytest
 
+from repro.registry import register, unregister
 from repro.simulator.cluster_sim import (
     ClusterSimConfig,
     ClusterSimulator,
     servers_for_overcommitment,
 )
+from repro.simulator.components import PlacementScorer
 from repro.simulator.reference import ReferenceClusterSimulator
 from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 
@@ -78,6 +80,39 @@ def assert_bit_identical(golden_trace, config):
 def test_tight_cluster_bit_identical(golden_trace, tight_servers, policy, partitioned):
     config = ClusterSimConfig(
         n_servers=tight_servers, policy=policy, partitioned=partitioned
+    )
+    assert_bit_identical(golden_trace, config)
+
+
+@pytest.fixture(scope="module")
+def score_only_scorer():
+    """A plug-in that defines only ``score`` (``fullest-first``'s shape):
+    the simulator reaches it through the per-row hook's defaults."""
+
+    @register("scorer", "score-only")
+    class ScoreOnlyScorer(PlacementScorer):
+        name = "score-only"
+
+        def score(self, demand_norm, avail_norm):
+            return -avail_norm.sum(axis=1)
+
+    yield ScoreOnlyScorer.name
+    unregister("scorer", ScoreOnlyScorer.name)
+
+
+@pytest.mark.parametrize("scorer", ("most-available", "least-available", "score-only"))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("partitioned", [False, True], ids=["flat", "partitioned"])
+def test_scorer_bit_identical(
+    golden_trace, tight_servers, score_only_scorer, policy, partitioned, scorer
+):
+    """The simulator scores cached per-server rows through
+    ``PlacementScorer.row_state``/``score_rows``; the reference calls
+    ``score`` on rows it builds per arrival.  Every scorer must agree with
+    the reference bit for bit (cosine, the default, is the scorer of
+    ``test_tight_cluster_bit_identical``)."""
+    config = ClusterSimConfig(
+        n_servers=tight_servers, policy=policy, partitioned=partitioned, scorer=scorer
     )
     assert_bit_identical(golden_trace, config)
 
