@@ -309,14 +309,11 @@ def vm_class_arrays(traces: VMTraceSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     n = len(traces)
     vm_caps = np.zeros((n, _DIMS))
+    vm_caps[:, 0] = traces.cores
+    vm_caps[:, 1] = traces.memory_mb
+    vm_deflatable = traces.class_mask(VMClass.INTERACTIVE)
     vm_prio = np.ones(n)
-    vm_deflatable = np.zeros(n, dtype=bool)
-    for i, rec in enumerate(traces):
-        vm_caps[i, 0] = rec.cores
-        vm_caps[i, 1] = rec.memory_mb
-        if rec.vm_class == VMClass.INTERACTIVE:
-            vm_deflatable[i] = True
-            vm_prio[i] = priority_from_p95(rec.p95_cpu)
+    vm_prio[vm_deflatable] = [priority_from_p95(p) for p in traces.p95[vm_deflatable].tolist()]
     return vm_caps, vm_prio, vm_deflatable
 
 
@@ -458,23 +455,26 @@ class ClusterSimulator:
         self.vm_rejected = np.zeros(n, dtype=bool)
         self.vm_preempted = np.zeros(n, dtype=bool)
         self.vm_reclaim_failure = np.zeros(n, dtype=bool)
-        self.vm_start = np.zeros(n, dtype=np.int64)
-        self.vm_end = np.zeros(n, dtype=np.int64)
-        self.vm_lifetime = np.zeros(n, dtype=np.int64)
-        self.outcomes: list[VMOutcome] = []
-        for i, rec in enumerate(self.traces):
-            self.vm_start[i] = rec.start_interval
-            self.vm_end[i] = rec.end_interval
-            self.vm_lifetime[i] = rec.lifetime_intervals
-            self.outcomes.append(
-                VMOutcome(
-                    vm_index=i,
-                    deflatable=bool(self.vm_deflatable[i]),
-                    priority=float(self.vm_prio[i]),
-                    cores=float(rec.cores),
-                    end_interval=float(rec.end_interval),
+        self.vm_start = self.traces.start_interval.copy()
+        self.vm_lifetime = self.traces.lifetimes
+        self.vm_end = self.vm_start + self.vm_lifetime
+        self.outcomes: list[VMOutcome] = [
+            VMOutcome(
+                vm_index=i,
+                deflatable=deflatable,
+                priority=priority,
+                cores=cores,
+                end_interval=end,
+            )
+            for i, (deflatable, priority, cores, end) in enumerate(
+                zip(
+                    self.vm_deflatable.tolist(),
+                    self.vm_prio.tolist(),
+                    self.vm_caps[:, 0].tolist(),
+                    self.vm_end.astype(np.float64).tolist(),
                 )
             )
+        ]
         # Policy floors: priority/deterministic deflate only to pi*M; every
         # policy additionally respects the configured QoS minimum fraction.
         base_floor = self.vm_caps * self.config.min_fraction
@@ -835,14 +835,14 @@ class ClusterSimulator:
         compaction) yields bit-identical floats to computing it at collect
         time.
         """
-        rec = self.traces.records[i]
+        util = self.traces.series(i)
         cores = float(self.vm_caps[i, 0])
-        demanded = float(rec.cpu_util.sum()) * cores
+        demanded = float(util.sum()) * cores
         times, _ = self._history_of(i)
         if not self.vm_preempted[i] and times.size <= 1:
-            return demanded, 0.0, 0.0, float(rec.lifetime_intervals)
-        alloc = self._allocation_series(rec, self.outcomes[i])
-        lost = float(np.maximum(rec.cpu_util - alloc, 0.0).sum()) * cores
+            return demanded, 0.0, 0.0, float(self.vm_lifetime[i])
+        alloc = self._allocation_series(self.traces[i], self.outcomes[i])
+        lost = float(np.maximum(util - alloc, 0.0).sum()) * cores
         deflation = float((1.0 - alloc).sum()) * cores
         return demanded, lost, deflation, float(alloc.sum())
 
@@ -1459,7 +1459,6 @@ class ClusterSimulator:
         by the sharded engine; :func:`reduce_vm_terms` performs the exact
         reductions :meth:`_collect` applies to them.
         """
-        records = self.traces.records
         sel = np.nonzero(self.vm_deflatable & self.vm_placed)[0]
 
         # Per-VM metric terms, later reduced with cumsum (sequential, so the
@@ -1494,15 +1493,14 @@ class ClusterSimulator:
                 deflation_t[k] = final["deflation"][i]
                 alloc_integral[k] = final["alloc_integral"][i]
                 continue
-            rec = records[i]
+            util = self.traces.series(i)
             cores = float(cores_sel[k])
-            u_sum = float(rec.cpu_util.sum())
-            demanded_t[k] = u_sum * cores
+            demanded_t[k] = float(util.sum()) * cores
             if trivial[k]:
-                alloc_integral[k] = float(rec.lifetime_intervals)
+                alloc_integral[k] = lifetime_sel[k]
                 continue
-            alloc = self._allocation_series(rec, self.outcomes[i])
-            lost_t[k] = float(np.maximum(rec.cpu_util - alloc, 0.0).sum()) * cores
+            alloc = self._allocation_series(self.traces[i], self.outcomes[i])
+            lost_t[k] = float(np.maximum(util - alloc, 0.0).sum()) * cores
             deflation_t[k] = float((1.0 - alloc).sum()) * cores
             alloc_integral[k] = float(alloc.sum())
 
@@ -1579,11 +1577,11 @@ def servers_for_overcommitment(
     """
     if overcommitment < 0:
         raise SimulationError("overcommitment must be >= 0")
-    horizon = traces.horizon()
-    load = np.zeros(horizon + 1)
-    for rec in traces:
-        load[rec.start_interval] += rec.cores
-        load[rec.end_interval] -= rec.cores
+    # Integer core counts: the float sums are exact in any order.
+    size = traces.horizon() + 1
+    ends = traces.start_interval + traces.lifetimes
+    load = np.bincount(traces.start_interval, weights=traces.cores, minlength=size)
+    load -= np.bincount(ends, weights=traces.cores, minlength=size)
     peak = float(np.cumsum(load).max())
     n = math.ceil(peak / (cores_per_server * (1.0 + overcommitment)))
     return max(1, n)

@@ -269,7 +269,7 @@ def plan_shards(scenario: Scenario) -> ShardPlan:
         specs.append(
             ShardSpec(
                 shard_id=k,
-                traces=VMTraceSet([traces.records[i] for i in idx.tolist()]),
+                traces=traces.take(idx),
                 config=config,
                 vm_global=idx,
                 server_offset=int(offsets[k]),

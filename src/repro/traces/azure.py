@@ -29,6 +29,7 @@ Class-conditioned generators:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core.vm import VMClass
 from repro.errors import TraceError
 from repro.registry import register
-from repro.traces.schema import INTERVALS_PER_DAY, VMTraceRecord, VMTraceSet
+from repro.traces.schema import INTERVALS_PER_DAY, VM_CLASSES, VMTraceSet
 
 #: Azure-like size menu: (cores, memory_mb).  Mixes burstable-sized small VMs
 #: with the larger D/E-series shapes so Figure 7's three buckets are populated.
@@ -164,40 +165,71 @@ def _diurnal_start(rng: np.random.Generator, cfg: AzureTraceConfig) -> int:
             return t
 
 
+def _choice_cdf(probs: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(k, p=probs)`` searches, as a list.
+
+    ``choice`` draws one ``random()`` and returns the right-side
+    ``searchsorted`` of this CDF; ``bisect_right`` over it with the same
+    draw gives the same index without ``choice``'s per-call argument checks.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def synthesize_azure_trace(config: AzureTraceConfig | None = None) -> VMTraceSet:
-    """Generate an Azure-style VM trace set (deterministic per seed)."""
+    """Generate an Azure-style VM trace set (deterministic per seed).
+
+    Series are written back to back into one buffer, grown in place as
+    needed, and the set is validated once as a whole.
+    """
     cfg = config if config is not None else AzureTraceConfig()
     rng = np.random.default_rng(cfg.seed)
 
     classes = list(cfg.class_mix.keys())
     probs = np.array([cfg.class_mix[c] for c in classes], dtype=np.float64)
     probs = probs / probs.sum()
-    size_probs = np.array(SIZE_WEIGHTS) / np.sum(SIZE_WEIGHTS)
+    class_cdf = _choice_cdf(probs)
+    size_cdf = _choice_cdf(np.array(SIZE_WEIGHTS) / np.sum(SIZE_WEIGHTS))
+    mu = math.log(cfg.mean_lifetime_intervals) - 0.5
 
-    records: list[VMTraceRecord] = []
-    for i in range(cfg.n_vms):
-        vm_class = classes[int(rng.choice(len(classes), p=probs))]
-        cores, memory_mb = SIZE_MENU[int(rng.choice(len(SIZE_MENU), p=size_probs))]
+    n = cfg.n_vms
+    vm_class = np.empty(n, dtype=np.uint8)
+    cores = np.empty(n, dtype=np.int64)
+    memory_mb = np.empty(n, dtype=np.float64)
+    starts = np.empty(n, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    per_vm = min(math.ceil(cfg.mean_lifetime_intervals), cfg.horizon_intervals)
+    util = np.empty(n * per_vm)
+    pos = 0
+    for i in range(n):
+        cls = classes[bisect_right(class_cdf, rng.random())]
+        vm_class[i] = VM_CLASSES.index(cls)
+        cores[i], memory_mb[i] = SIZE_MENU[bisect_right(size_cdf, rng.random())]
 
         # Lifetime: lognormal with the configured mean, at least 2 intervals,
         # clipped to what remains of the horizon after the start.
-        mu = math.log(cfg.mean_lifetime_intervals) - 0.5
         lifetime = max(2, int(rng.lognormal(mean=mu, sigma=1.0)))
         start = _diurnal_start(rng, cfg)
         lifetime = min(lifetime, cfg.horizon_intervals - start)
+        starts[i] = start
 
-        series = _GENERATORS[vm_class](rng, lifetime, start)
-        records.append(
-            VMTraceRecord(
-                vm_id=f"azure-vm-{i}",
-                vm_class=vm_class,
-                cores=cores,
-                memory_mb=memory_mb,
-                start_interval=start,
-                cpu_util=series,
-            )
-        )
-    return VMTraceSet(records)
+        if pos + lifetime > util.size:
+            # realloc: large buffers move by page remapping, not by a copy.
+            util.resize(pos + lifetime + (n - i - 1) * per_vm, refcheck=False)
+        util[pos : pos + lifetime] = _GENERATORS[cls](rng, lifetime, start)
+        pos += lifetime
+        offsets[i + 1] = pos
+    util.resize(pos, refcheck=False)
+    return VMTraceSet.from_columns(
+        vm_ids=[f"azure-vm-{i}" for i in range(n)],
+        vm_class=vm_class,
+        cores=cores,
+        memory_mb=memory_mb,
+        start_interval=starts,
+        util=util,
+        offsets=offsets,
+    )
 
 
 @register("workload", "azure")

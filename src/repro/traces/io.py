@@ -19,6 +19,11 @@ Two historical wrinkles this module now handles explicitly:
 * utilization series used to be written as float32 and widened back on
   load, making round-trips lossy.  They are now persisted as float64;
   legacy float32 archives still load (at their stored precision).
+
+VM archives are columnar since format v2 (:data:`VM_FORMAT_VERSION`); the
+per-VM ``util_{i}`` layout before it still loads.  Either way the loaded
+columns pass :meth:`VMTraceSet.from_columns`' validation, so malformed
+offsets or values raise :class:`TraceError`.
 """
 
 from __future__ import annotations
@@ -30,11 +35,18 @@ import numpy as np
 from repro.core.vm import VMClass
 from repro.errors import TraceError
 from repro.traces.schema import (
+    VM_CLASSES,
     ContainerTraceRecord,
     ContainerTraceSet,
-    VMTraceRecord,
     VMTraceSet,
 )
+
+#: Layout of :func:`save_vm_traces` archives.  Version 2 stores every
+#: series in one ``util_values`` buffer cut by ``util_offsets`` (CSR);
+#: archives without a ``format_version`` member are the legacy layout, one
+#: ``util_{i}`` member per VM.
+VM_FORMAT_VERSION = 2
+
 
 def _open_archive(path: str | Path) -> np.lib.npyio.NpzFile:
     """Open a trace archive, translating open-time failures into TraceError.
@@ -70,37 +82,48 @@ def _read_members(path: str | Path, build):
 
 
 def save_vm_traces(traces: VMTraceSet, path: str | Path) -> None:
-    """Write a VM trace set to a compressed .npz archive."""
-    path = Path(path)
-    payload: dict[str, np.ndarray] = {
-        "vm_ids": np.array([r.vm_id for r in traces], dtype=object),
-        "classes": np.array([r.vm_class.value for r in traces], dtype=object),
-        "cores": np.array([r.cores for r in traces], dtype=np.int64),
-        "memory_mb": np.array([r.memory_mb for r in traces], dtype=np.float64),
-        "starts": np.array([r.start_interval for r in traces], dtype=np.int64),
-    }
-    for i, rec in enumerate(traces):
-        payload[f"util_{i}"] = np.asarray(rec.cpu_util, dtype=np.float64)
-    np.savez_compressed(path, **payload)
+    """Write a VM trace set to a compressed .npz archive (format v2)."""
+    np.savez_compressed(
+        Path(path),
+        format_version=np.array(VM_FORMAT_VERSION, dtype=np.int64),
+        vm_ids=np.array(traces.vm_ids, dtype=object),
+        classes=np.array([VM_CLASSES[c].value for c in traces.vm_class.tolist()], dtype=object),
+        cores=traces.cores,
+        memory_mb=traces.memory_mb,
+        starts=traces.start_interval,
+        util_values=traces.util,
+        util_offsets=traces.offsets,
+    )
 
 
 def load_vm_traces(path: str | Path) -> VMTraceSet:
-    """Read a VM trace set produced by :func:`save_vm_traces`."""
+    """Read a VM trace set produced by :func:`save_vm_traces` (v2 or legacy)."""
 
     def build(data):
-        return [
-            VMTraceRecord(
-                vm_id=str(data["vm_ids"][i]),
-                vm_class=VMClass(str(data["classes"][i])),
-                cores=int(data["cores"][i]),
-                memory_mb=float(data["memory_mb"][i]),
-                start_interval=int(data["starts"][i]),
-                cpu_util=np.asarray(data[f"util_{i}"], dtype=np.float64),
+        n = data["cores"].size
+        if "format_version" not in data.files:  # legacy: one util_{i} per VM
+            series = [np.asarray(data[f"util_{i}"], dtype=np.float64) for i in range(n)]
+            util = np.concatenate(series or [np.zeros(0)])
+            offsets = np.cumsum([0] + [s.size for s in series], dtype=np.int64)
+        elif int(data["format_version"]) == VM_FORMAT_VERSION:
+            util = np.asarray(data["util_values"], dtype=np.float64)
+            offsets = data["util_offsets"]
+        else:
+            raise TraceError(
+                f"trace file {Path(path)} has format version "
+                f"{int(data['format_version'])}; this reader knows {VM_FORMAT_VERSION}"
             )
-            for i in range(data["cores"].size)
-        ]
+        return VMTraceSet.from_columns(
+            vm_ids=[str(v) for v in data["vm_ids"]],
+            vm_class=[VM_CLASSES.index(VMClass(str(c))) for c in data["classes"]],
+            cores=data["cores"],
+            memory_mb=data["memory_mb"],
+            start_interval=data["starts"],
+            util=util,
+            offsets=offsets,
+        )
 
-    return VMTraceSet(_read_members(path, build))
+    return _read_members(path, build)
 
 
 def save_container_traces(traces: ContainerTraceSet, path: str | Path) -> None:

@@ -3,7 +3,9 @@
 The module's contract is *bit-stability*: save → load → save must
 reproduce every field exactly (float64 ``cpu_util`` included), new
 archives must not contain the historical stray ``allow_pickle`` key, and
-legacy archives (stray key, float32 series) must still load.
+legacy archives (stray key, float32 series, one ``util_{i}`` member per
+VM before format v2) must still load, and malformed columns must raise
+:class:`TraceError`.
 """
 
 import io
@@ -17,11 +19,31 @@ from repro.errors import TraceError
 from repro.traces.alibaba import AlibabaTraceConfig, synthesize_alibaba_trace
 from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 from repro.traces.io import (
+    VM_FORMAT_VERSION,
     load_container_traces,
     load_vm_traces,
     save_container_traces,
     save_vm_traces,
 )
+
+
+def legacy_payload(traces, dtype=np.float64):
+    """The pre-v2 layout: per-VM metadata arrays plus one ``util_{i}`` each."""
+    payload = {
+        "vm_ids": np.array([r.vm_id for r in traces], dtype=object),
+        "classes": np.array([r.vm_class.value for r in traces], dtype=object),
+        "cores": np.array([r.cores for r in traces], dtype=np.int64),
+        "memory_mb": np.array([r.memory_mb for r in traces], dtype=np.float64),
+        "starts": np.array([r.start_interval for r in traces], dtype=np.int64),
+    }
+    for i, rec in enumerate(traces):
+        payload[f"util_{i}"] = rec.cpu_util.astype(dtype)
+    return payload
+
+
+def v2_payload(path):
+    with np.load(path, allow_pickle=True) as data:
+        return {key: data[key] for key in data.files}
 
 
 def add_stray_allow_pickle_member(path):
@@ -83,16 +105,7 @@ class TestVMTraceIO:
     def test_legacy_archive_with_stray_key_and_float32_loads(self, vm_traces, tmp_path):
         """What the old save path wrote: float32 series + the leaked kwarg."""
         path = tmp_path / "legacy.npz"
-        payload = {
-            "vm_ids": np.array([r.vm_id for r in vm_traces], dtype=object),
-            "classes": np.array([r.vm_class.value for r in vm_traces], dtype=object),
-            "cores": np.array([r.cores for r in vm_traces], dtype=np.int64),
-            "memory_mb": np.array([r.memory_mb for r in vm_traces], dtype=np.float64),
-            "starts": np.array([r.start_interval for r in vm_traces], dtype=np.int64),
-        }
-        for i, rec in enumerate(vm_traces):
-            payload[f"util_{i}"] = rec.cpu_util.astype(np.float32)
-        np.savez_compressed(path, **payload)
+        np.savez_compressed(path, **legacy_payload(vm_traces, np.float32))
         add_stray_allow_pickle_member(path)
         with np.load(path, allow_pickle=True) as data:
             assert "allow_pickle" in data.files  # a faithful legacy archive
@@ -128,7 +141,7 @@ class TestVMTraceIO:
         save_vm_traces(vm_traces, path)
         raw = bytearray(path.read_bytes())
         with zipfile.ZipFile(path) as zf:
-            info = zf.getinfo("util_0.npy")
+            info = zf.getinfo("util_values.npy")
         # Flip bytes in the member's compressed payload — the local file
         # header is 30 fixed bytes plus filename and extra fields (their
         # lengths live at header offsets 26 and 28) — leaving the central
@@ -148,6 +161,69 @@ class TestVMTraceIO:
         np.savez_compressed(path, cores=np.array([2, 4], dtype=np.int64))
         assert zipfile.is_zipfile(path)
         with pytest.raises(TraceError, match="missing archive member"):
+            load_vm_traces(path)
+
+
+    def test_v2_archive_is_columnar(self, vm_traces, tmp_path):
+        path = tmp_path / "vms.npz"
+        save_vm_traces(vm_traces, path)
+        with np.load(path, allow_pickle=True) as data:
+            assert int(data["format_version"]) == VM_FORMAT_VERSION == 2
+            assert not [key for key in data.files if key.startswith("util_") and
+                        key not in ("util_values", "util_offsets")]
+            np.testing.assert_array_equal(data["util_values"], vm_traces.util)
+            np.testing.assert_array_equal(data["util_offsets"], vm_traces.offsets)
+
+    def test_legacy_float64_archive_loads_bit_identical(self, vm_traces, tmp_path):
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(path, **legacy_payload(vm_traces))
+        loaded = load_vm_traces(path)
+        for a, b in zip(vm_traces, loaded):
+            assert (a.vm_id, a.vm_class, a.cores, a.start_interval, a.p95_cpu) == (
+                b.vm_id, b.vm_class, b.cores, b.start_interval, b.p95_cpu
+            )
+            np.testing.assert_array_equal(a.cpu_util, b.cpu_util)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda off: off[::-1],  # non-monotonic
+            lambda off: np.concatenate(([0, -3], off[2:])),  # negative
+            lambda off: off[:-1],  # wrong length
+            lambda off: np.concatenate((off, off[-1:])),  # wrong length, empty series
+            lambda off: off + 1,  # does not start at 0
+            lambda off: off.astype(np.float64),  # not integers
+        ],
+    )
+    def test_bad_offsets_raise_trace_error(self, vm_traces, tmp_path, mangle):
+        good = tmp_path / "good.npz"
+        save_vm_traces(vm_traces, good)
+        payload = v2_payload(good)
+        payload["util_offsets"] = mangle(payload["util_offsets"])
+        path = tmp_path / "bad.npz"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(TraceError, match="offsets"):
+            load_vm_traces(path)
+
+    def test_non_finite_values_raise_trace_error(self, vm_traces, tmp_path):
+        good = tmp_path / "good.npz"
+        save_vm_traces(vm_traces, good)
+        payload = v2_payload(good)
+        payload["util_values"] = payload["util_values"].copy()
+        payload["util_values"][5] = np.nan
+        path = tmp_path / "nan.npz"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(TraceError, match="finite"):
+            load_vm_traces(path)
+
+    def test_unknown_format_version_raises_trace_error(self, vm_traces, tmp_path):
+        good = tmp_path / "good.npz"
+        save_vm_traces(vm_traces, good)
+        payload = v2_payload(good)
+        payload["format_version"] = np.array(3)
+        path = tmp_path / "v3.npz"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(TraceError, match="format version 3"):
             load_vm_traces(path)
 
 

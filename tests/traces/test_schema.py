@@ -55,6 +55,15 @@ class TestVMTraceRecord:
         with pytest.raises(TraceError):
             rec([0.1], start=-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(TraceError, match="finite"):
+            rec([0.1, bad, 0.2])
+
+    def test_fractional_cores_rejected(self):
+        with pytest.raises(TraceError, match="whole number"):
+            rec([0.1], cores=2.5)
+
     def test_clipping_tolerates_epsilon(self):
         r = rec([1.0 + 1e-12])
         assert r.cpu_util.max() <= 1.0
@@ -83,6 +92,14 @@ class TestVMTraceSet:
 
 
 class TestContainerRecord:
+    @pytest.mark.parametrize("series", ["mem_util", "mem_bw_util", "disk_util", "net_util"])
+    def test_non_finite_rejected(self, series):
+        names = ("mem_util", "mem_bw_util", "disk_util", "net_util")
+        kwargs = {name: np.full(5, 0.5) for name in names}
+        kwargs[series][2] = np.nan
+        with pytest.raises(TraceError, match="finite"):
+            ContainerTraceRecord(container_id="c", **kwargs)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(TraceError):
             ContainerTraceRecord(
