@@ -8,7 +8,8 @@ water-filling solver against the closed-form proportional path.
 import numpy as np
 import pytest
 
-from repro.core.deflation import POLICIES
+from repro.core.deflation import get_policy
+from repro.registry import names
 
 
 def _pool(n, seed=0):
@@ -19,11 +20,11 @@ def _pool(n, seed=0):
     return caps, mins, prios
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("policy_name", names("policy"))
 @pytest.mark.parametrize("n_vms", [8, 64, 512])
 def test_policy_solver(benchmark, policy_name, n_vms):
     caps, mins, prios = _pool(n_vms)
-    policy = POLICIES[policy_name]
+    policy = get_policy(policy_name)
     required = 0.5 * policy.max_reclaimable(caps, mins, prios)
     result = benchmark(policy.target_allocations, caps, mins, prios, required)
     assert result.satisfied

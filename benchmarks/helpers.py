@@ -12,12 +12,12 @@ round measures the real pipeline, not a dictionary lookup.
 
 from __future__ import annotations
 
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import get_experiment
 
 
 def run_and_print(figure_id: str, scale: str = "small"):
     """Run one experiment and print its table (used inside benchmarks)."""
-    result = EXPERIMENTS[figure_id](scale)
+    result = get_experiment(figure_id)(scale)
     print()
     result.print_table()
     return result

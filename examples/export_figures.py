@@ -14,14 +14,15 @@ import time
 from pathlib import Path
 
 from repro.experiments.ablations import ABLATIONS
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import get_experiment
+from repro.registry import names
 
 
 def main() -> None:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("figures")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = list(EXPERIMENTS.items()) + [
+    jobs = [(name, get_experiment(name)) for name in names("experiment")] + [
         (f"ablation-{name}", fn) for name, fn in ABLATIONS.items()
     ]
     for figure_id, runner in jobs:

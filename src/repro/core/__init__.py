@@ -6,7 +6,6 @@ from repro.core.controller import (
     RebalanceReport,
 )
 from repro.core.deflation import (
-    POLICIES,
     DeflationPolicy,
     DeflationResult,
     DeterministicPolicy,
@@ -25,7 +24,6 @@ from repro.core.perf_model import (
     PerfProfile,
 )
 from repro.core.placement import (
-    STRATEGIES,
     CosineBestFit,
     FirstFit,
     PlacementStrategy,
@@ -54,7 +52,6 @@ __all__ = [
     "DeflationEvent",
     "LocalDeflationController",
     "RebalanceReport",
-    "POLICIES",
     "DeflationPolicy",
     "DeflationResult",
     "DeterministicPolicy",
@@ -69,7 +66,6 @@ __all__ = [
     "SPECJBB",
     "WEB_MULTITIER",
     "PerfProfile",
-    "STRATEGIES",
     "CosineBestFit",
     "FirstFit",
     "PlacementStrategy",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DeflationError, UnknownComponentError
-from repro.registry import RegistryView, register, resolve
+from repro.registry import register, resolve
 
 _TOL = 1e-9
 
@@ -470,12 +470,6 @@ class DeterministicPolicy(DeflationPolicy):
             reclaim[idx] = yields[idx]
             got += float(yields[idx])
         return self._finalize(caps, reclaim, required)
-
-
-#: Legacy view over the unified registry (kind ``policy``); used by the
-#: simulator CLI and the benchmarks.  New policies registered via
-#: ``@register("policy", ...)`` appear here automatically.
-POLICIES: RegistryView = RegistryView("policy")
 
 
 def get_policy(name: str) -> DeflationPolicy:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.resources import NUM_RESOURCES, ResourceVector, cosine_fitness
 from repro.errors import PlacementError
-from repro.registry import RegistryView, register
+from repro.registry import register
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,6 @@ class WorstFit(PlacementStrategy):
             feasible,
             key=lambda s: (-(s.capacity - s.used).clamp_nonnegative().total(), s.server_id),
         )
-
-
-#: Legacy view over the unified registry (kind ``placement``).
-STRATEGIES: RegistryView = RegistryView("placement")
 
 
 def filter_partition(

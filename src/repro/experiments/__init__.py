@@ -1,6 +1,6 @@
 """Per-figure experiment harnesses and the CLI runner.
 
-Import :data:`repro.experiments.registry.EXPERIMENTS` for programmatic
+Use :func:`repro.experiments.registry.get_experiment` for programmatic
 access, or run ``python -m repro.experiments <figure-id>``.
 """
 

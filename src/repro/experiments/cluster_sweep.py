@@ -21,8 +21,8 @@ import os
 
 from repro.errors import SimulationError
 from repro.experiments.base import check_scale
-from repro.scenario import Scenario, SweepCache, run_sweep
-from repro.simulator.metrics import DEFAULT_POLICIES, OvercommitSweep, SweepPoint
+from repro.scenario import ResultSet, Scenario, SweepCache, run_sweep
+from repro.simulator.metrics import DEFAULT_POLICIES
 
 OC_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 OC_LEVELS_SMALL = (0.0, 0.2, 0.4, 0.6, 0.7)
@@ -39,10 +39,13 @@ def cluster_sweep(
     seed: int = 31,
     workers: int | None = None,
     engine: str | None = None,
-) -> OvercommitSweep:
+) -> ResultSet:
     """The (policy x OC) grid, built through the Scenario pipeline.
 
-    Results come from :data:`SWEEP_CACHE`; only cache misses simulate.
+    Results come back in grid order (policy-major, ascending OC), so
+    ``cluster_sweep(scale).filter(policy=p)`` is one figure series.
+
+    Runs are served from :data:`SWEEP_CACHE`; only cache misses simulate.
     ``workers`` > 1 fans misses out over supervised worker processes
     (``docs/robustness.md``): a crashed or hung worker costs one retried
     scenario, not the grid, and each finished miss is stored back to the
@@ -79,17 +82,7 @@ def cluster_sweep(
         for policy in DEFAULT_POLICIES
         for oc in levels
     ]
-    results = run_sweep(scenarios, workers=workers, cache=SWEEP_CACHE)
-    points: dict[str, list[SweepPoint]] = {policy: [] for policy in DEFAULT_POLICIES}
-    for res in results:
-        points[res.scenario.policy].append(
-            SweepPoint(
-                overcommitment_target=res.scenario.overcommitment,
-                n_servers=res.n_servers,
-                result=res.sim,
-            )
-        )
-    return OvercommitSweep(trace_size=_SCALE_N_VMS[scale], points=points)
+    return run_sweep(scenarios, workers=workers, cache=SWEEP_CACHE)
 
 
 def _reset_sweep_cache() -> None:

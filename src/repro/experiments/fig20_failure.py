@@ -26,7 +26,13 @@ def run(scale: str = "small", engine: str | None = None) -> ExperimentResult:
         columns=["overcommit_pct"] + [f"{p}_failure" for p in DEFAULT_POLICIES],
         notes="paper: <1% at 70% OC for proportional vs ~35% for preemptible",
     )
-    series = {p: dict(sweep.failure_probabilities(p)) for p in DEFAULT_POLICIES}
+    series = {
+        p: {
+            100 * oc: v
+            for oc, v in sweep.filter(policy=p).series("overcommitment", "failure_probability")
+        }
+        for p in DEFAULT_POLICIES
+    }
     levels = sorted(next(iter(series.values())).keys())
     for oc in levels:
         result.add_row(

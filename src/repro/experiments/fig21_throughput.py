@@ -35,8 +35,13 @@ def run(scale: str = "small", engine: str | None = None) -> ExperimentResult:
         + ["priority_partitioned_loss"],
         notes="paper: ~0 below 40% OC, ~1% at 50%, <5% at 80%; priorities ~10x better",
     )
-    series = {p: dict(sweep.throughput_losses(p)) for p in _POLICIES}
-    part_series = dict(part.throughput_losses("priority"))
+
+    def losses(results, policy):
+        pairs = results.filter(policy=policy).series("overcommitment", "throughput_loss")
+        return {100 * oc: v for oc, v in pairs}
+
+    series = {p: losses(sweep, p) for p in _POLICIES}
+    part_series = losses(part, "priority")
     levels = sorted(next(iter(series.values())).keys())
     for oc in levels:
         result.add_row(

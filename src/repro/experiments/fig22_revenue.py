@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult, check_scale
 from repro.experiments.cluster_sweep import cluster_sweep
 from repro.registry import register_value
+from repro.simulator.metrics import revenue_increase
 
 _PRICINGS = ("static", "priority", "allocation")
 
@@ -22,6 +23,7 @@ def run(scale: str = "small", engine: str | None = None) -> ExperimentResult:
     variant of the grid on the scale-out engine (see docs/engines.md)."""
     check_scale(scale)
     sweep = cluster_sweep(scale, partitioned=engine == "sharded", engine=engine)
+    priority = sweep.filter(policy="priority")
     result = ExperimentResult(
         figure_id="fig22",
         title="Revenue-per-server increase vs overcommitment (priority deflation)",
@@ -29,7 +31,7 @@ def run(scale: str = "small", engine: str | None = None) -> ExperimentResult:
         notes="paper: priority pricing ~2x static; allocation-based ~flat",
     )
     series = {
-        p: dict(sweep.revenue_increase("priority", p, baseline_pricing="static"))
+        p: dict(revenue_increase(priority, p, baseline_pricing="static"))
         for p in _PRICINGS
     }
     levels = sorted(next(iter(series.values())).keys())

@@ -2,9 +2,9 @@
 
 Each figure module registers its ``run`` function on the unified component
 registry (``@register_value("experiment", "figXX")``); importing this module
-pulls them all in, and :data:`EXPERIMENTS` is the live view legacy callers
-(benchmarks, the CLI) keep using.  New experiments become runnable by
-``python -m repro.experiments`` just by registering under kind
+pulls them all in, so ``repro.registry.names("experiment")`` lists every
+figure id and :func:`get_experiment` looks one up.  New experiments become
+runnable by ``python -m repro.experiments`` just by registering under kind
 ``experiment``.
 """
 
@@ -35,10 +35,7 @@ from repro.experiments import (  # noqa: F401  (imports trigger registration)
     portfolio,
 )
 from repro.experiments.base import ExperimentResult
-from repro.registry import RegistryView, resolve
-
-#: Live view over the unified registry (kind ``experiment``).
-EXPERIMENTS: RegistryView = RegistryView("experiment")
+from repro.registry import resolve
 
 
 def get_experiment(figure_id: str) -> Callable[[str], ExperimentResult]:

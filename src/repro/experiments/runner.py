@@ -15,7 +15,8 @@ import sys
 import time
 
 from repro.experiments.base import SCALES
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import get_experiment
+from repro.registry import names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "figures",
         nargs="+",
-        help=f"figure ids ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
+        help=f"figure ids ({', '.join(names('experiment'))}) or 'all'",
     )
     parser.add_argument("--scale", choices=SCALES, default="small")
     parser.add_argument(
@@ -39,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    ids = sorted(EXPERIMENTS) if "all" in args.figures else args.figures
+    ids = names("experiment") if "all" in args.figures else args.figures
     for figure_id in ids:
         runner = get_experiment(figure_id)
         kwargs = {}

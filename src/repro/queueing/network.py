@@ -35,13 +35,51 @@ proxy kills it).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulator.engine import EventQueue
+
+
+class EventQueue:
+    """A priority queue of timestamped events with deterministic tie-breaks.
+
+    Events scheduled at equal times fire in scheduling order (FIFO), which
+    keeps simulations reproducible run-to-run.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Any]] = []
+        self._counter = itertools.count()
+        self.now = 0.0
+
+    def schedule(self, time: float, payload: Any) -> None:
+        """Add an event; times in the past are a logic error."""
+        if time < self.now - 1e-9:
+            raise SimulationError(
+                f"cannot schedule at {time} before current time {self.now}"
+            )
+        heapq.heappush(self._heap, (time, next(self._counter), payload))
+
+    def pop(self) -> tuple[float, Any]:
+        """Remove and return the next (time, payload), advancing the clock."""
+        if not self._heap:
+            raise SimulationError("event queue is empty")
+        time, _, payload = heapq.heappop(self._heap)
+        self.now = time
+        return time, payload
+
+    def peek_time(self) -> float | None:
+        return self._heap[0][0] if self._heap else None
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,9 @@ The simulation pipeline is assembled from named components — deflation
 policies, placement strategies and scorers, admission controllers, pricing
 models, metrics collectors, workload sources, experiments, engines.  This
 module is the single discovery point for all of them, replacing the four
-ad-hoc per-module dictionaries (``POLICIES``, ``STRATEGIES``,
-``PRICING_MODELS``, ``EXPERIMENTS``) the repo grew organically.  Those names
-still exist as thin :class:`RegistryView` shims, so legacy call sites keep
-working while new components become visible to every consumer at once.
+ad-hoc per-module dictionaries the repo grew organically.  One survives as
+a thin :class:`RegistryView`: ``repro.pricing.models.PRICING_MODELS``,
+which the pinned reference simulator iterates.
 
 Two registration modes:
 
@@ -183,9 +182,9 @@ def validate(kind: str, name: str) -> str:
 class RegistryView(Mapping):
     """Live read-only mapping ``name -> shared instance`` for one kind.
 
-    The legacy per-module dictionaries (``POLICIES`` and friends) are
-    instances of this class, so components registered later — including by
-    downstream plugins — appear in them automatically.
+    ``PRICING_MODELS`` is an instance of this class, so pricing models
+    registered later — including by downstream plugins — appear in it
+    automatically.
     """
 
     __slots__ = ("_kind",)

@@ -70,7 +70,6 @@ def _sweep_fingerprint(scenarios: list[Scenario]) -> str:
 def run_sweep(
     scenarios: Iterable[Scenario],
     workers: int | None = None,
-    chunksize: int | None = None,
     cache=None,
     *,
     on_error: str = "raise",
@@ -118,14 +117,7 @@ def run_sweep(
     of the *same* sweep resumes from the journal, bit-identical to an
     uninterrupted cold run.  Failed scenarios are never journaled; a
     resume retries them.
-
-    ``chunksize`` is accepted for backward compatibility and ignored: the
-    supervised runtime dispatches scenarios one at a time (per-task
-    crash attribution and timeouts require it), and with the default fork
-    start method workers inherit the scenario list instead of unpickling
-    chunks, so the old chunk-level pickling economy is moot.
     """
-    del chunksize  # legacy knob of the unsupervised pool path
     if on_error not in ("raise", "collect"):
         raise SimulationError(
             f'on_error must be "raise" or "collect", got {on_error!r}'

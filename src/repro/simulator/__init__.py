@@ -1,4 +1,4 @@
-"""Discrete-event simulation: engine, trace-driven cluster replay, sweeps.
+"""Trace-driven cluster replay and the Figure 20–22 metrics.
 
 The cluster replay's pluggable pieces (admission controllers, placement
 scorers, metrics collectors) live in :mod:`repro.simulator.components` and
@@ -17,14 +17,7 @@ from repro.simulator.components import (
     MetricsCollector,
     PlacementScorer,
 )
-from repro.simulator.engine import EventQueue, Simulator
-from repro.simulator.metrics import (
-    DEFAULT_OVERCOMMIT_LEVELS,
-    DEFAULT_POLICIES,
-    OvercommitSweep,
-    SweepPoint,
-    overcommitment_sweep,
-)
+from repro.simulator.metrics import DEFAULT_POLICIES
 
 __all__ = [
     "AdmissionController",
@@ -35,11 +28,5 @@ __all__ = [
     "ClusterSimulator",
     "VMOutcome",
     "servers_for_overcommitment",
-    "EventQueue",
-    "Simulator",
-    "DEFAULT_OVERCOMMIT_LEVELS",
     "DEFAULT_POLICIES",
-    "OvercommitSweep",
-    "SweepPoint",
-    "overcommitment_sweep",
 ]

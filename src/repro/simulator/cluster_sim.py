@@ -827,19 +827,21 @@ class ClusterSimulator:
 
         restore_into(self, snap)
 
-    def _terms_for_vm(self, i: int) -> tuple[float, float, float, float]:
+    def _terms_for_vm(self, i: int, trivial: bool) -> tuple[float, float, float, float]:
         """One VM's ``(demanded, lost, deflation, alloc_integral)`` terms.
 
-        The same arithmetic :meth:`_metric_terms` applies, including its
-        never-deflated fast path, so finalizing a VM early (streaming
-        compaction) yields bit-identical floats to computing it at collect
-        time.
+        ``trivial`` marks a VM whose history is just its admission entry
+        (fraction 1.0): never deflated nor preempted, its allocation series
+        is identically 1.0, so lost work and deflation are exactly 0.0 and
+        the allocation integral is exactly its lifetime — no series
+        reconstruction needed.  :meth:`_metric_terms` and streaming
+        compaction both call this, so finalizing a VM early yields
+        bit-identical floats to computing it at collect time.
         """
         util = self.traces.series(i)
         cores = float(self.vm_caps[i, 0])
         demanded = float(util.sum()) * cores
-        times, _ = self._history_of(i)
-        if not self.vm_preempted[i] and times.size <= 1:
+        if trivial:
             return demanded, 0.0, 0.0, float(self.vm_lifetime[i])
         alloc = self._allocation_series(self.traces[i], self.outcomes[i])
         lost = float(np.maximum(util - alloc, 0.0).sum()) * cores
@@ -884,7 +886,9 @@ class ClusterSimulator:
         for i in newly.tolist():
             if pending and i in pending:
                 continue  # a restart is still in flight; finalize later
-            d, lost, defl, alloc = self._terms_for_vm(i)
+            times, _ = self._history_of(i)
+            trivial = not self.vm_preempted[i] and times.size <= 1
+            d, lost, defl, alloc = self._terms_for_vm(i, trivial)
             final["mask"][i] = True
             final["demanded"][i] = d
             final["lost"][i] = lost
@@ -1318,10 +1322,6 @@ class ClusterSimulator:
         self._admit(t, vm, best_server)
         return True
 
-    def _preemption_plan(self, server: int, demand: np.ndarray) -> list[int] | None:
-        """Victims (ascending priority) freeing enough room, or None."""
-        return self._plan_victims(server, float(demand[0]), float(demand[1]), None)
-
     def _plan_victims(
         self, server: int, d0: float, d1: float, limit: int | None
     ) -> list[int] | None:
@@ -1470,10 +1470,8 @@ class ClusterSimulator:
         cores_sel = self.vm_caps[sel, 0] if sel.size else np.zeros(0)
         lifetime_sel = self.vm_lifetime[sel].astype(np.float64)
 
-        # A VM whose history is just its admission entry (fraction 1.0) was
-        # never deflated nor preempted: its allocation series is identically
-        # 1.0, so lost work and deflation are exactly 0.0 and the allocation
-        # integral is exactly its lifetime — no series reconstruction needed.
+        # Never-deflated VMs (see _terms_for_vm), found for the whole
+        # population at once rather than one history lookup per VM.
         if sel.size:
             svm, _, _ = self._history_arrays()
             hist_len = np.searchsorted(svm, sel, side="right") - np.searchsorted(
@@ -1493,16 +1491,9 @@ class ClusterSimulator:
                 deflation_t[k] = final["deflation"][i]
                 alloc_integral[k] = final["alloc_integral"][i]
                 continue
-            util = self.traces.series(i)
-            cores = float(cores_sel[k])
-            demanded_t[k] = float(util.sum()) * cores
-            if trivial[k]:
-                alloc_integral[k] = lifetime_sel[k]
-                continue
-            alloc = self._allocation_series(self.traces[i], self.outcomes[i])
-            lost_t[k] = float(np.maximum(util - alloc, 0.0).sum()) * cores
-            deflation_t[k] = float((1.0 - alloc).sum()) * cores
-            alloc_integral[k] = float(alloc.sum())
+            demanded_t[k], lost_t[k], deflation_t[k], alloc_integral[k] = (
+                self._terms_for_vm(i, trivial[k])
+            )
 
         # Bill at the admission-time priority snapshot (VMOutcome.priority),
         # exactly as the reference does — post-build surgery on vm_prio

@@ -1,23 +1,18 @@
-"""Overcommitment sweeps and derived metrics for Figures 20–22.
+"""Derived metrics for Figures 20–22.
 
-One sweep replays the *same* trace against clusters of decreasing size
-(increasing overcommitment) for each policy, exactly the paper's method:
-"we first find the minimum cluster size capable of running all VMs without
-any preemptions or admission-controlled rejections.  We then vary and
-increase the overcommitment by reducing the number of servers and use the
-same VM-trace throughout."
+The figures read one (policy x overcommitment) grid, returned by
+:func:`repro.experiments.cluster_sweep.cluster_sweep` as a
+:class:`~repro.scenario.ResultSet`.  Each run replays the *same* trace
+against a smaller cluster, exactly the paper's method: "we first find the
+minimum cluster size capable of running all VMs without any preemptions
+or admission-controlled rejections.  We then vary and increase the
+overcommitment by reducing the number of servers and use the same
+VM-trace throughout."
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SimulationError
-from repro.simulator.cluster_sim import ClusterSimResult
-from repro.traces.schema import VMTraceSet
-
-#: The paper's Figure 20-22 x-axis (cluster overcommitment %).
-DEFAULT_OVERCOMMIT_LEVELS: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 #: Policies compared in Figures 20 and 21 (preemption is the baseline).
 DEFAULT_POLICIES: tuple[str, ...] = (
@@ -28,111 +23,29 @@ DEFAULT_POLICIES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    overcommitment_target: float
-    n_servers: int
-    result: ClusterSimResult
+def revenue_increase(
+    results, pricing: str, baseline_pricing: str = "static"
+) -> list[tuple[float, float]]:
+    """(overcommitment %, revenue-per-server increase %) — Figure 22.
 
-
-@dataclass
-class OvercommitSweep:
-    """All (policy, overcommitment) runs over a single trace."""
-
-    trace_size: int
-    points: dict[str, list[SweepPoint]]
-
-    def failure_probabilities(self, policy: str) -> list[tuple[float, float]]:
-        """(overcommitment %, failure probability) series — Figure 20."""
-        return [
-            (100 * p.overcommitment_target, p.result.failure_probability)
-            for p in self._series(policy)
-        ]
-
-    def throughput_losses(self, policy: str) -> list[tuple[float, float]]:
-        """(overcommitment %, throughput decrease) series — Figure 21."""
-        return [
-            (100 * p.overcommitment_target, p.result.throughput_loss)
-            for p in self._series(policy)
-        ]
-
-    def revenue_increase(
-        self, policy: str, pricing: str, baseline_pricing: str = "static"
-    ) -> list[tuple[float, float]]:
-        """(overcommitment %, revenue-per-server increase %) — Figure 22.
-
-        All pricing schemes are normalized against one *common* baseline:
-        the ``baseline_pricing`` revenue at the sweep's lowest
-        overcommitment level.  This matches the paper's presentation, where
-        priority-based pricing sits ~2x above static at every level (higher
-        priority VMs simply pay more) while allocation-based pricing stays
-        flat (deflation discounts offset the density gain).
-        """
-        series = self._series(policy)
-        base = series[0].result.revenue_per_server.get(baseline_pricing)
-        if base is None:
-            raise SimulationError(f"unknown pricing model {baseline_pricing!r}")
-        if base <= 0:
-            raise SimulationError("baseline revenue is zero; cannot normalize")
-        if pricing not in series[0].result.revenue_per_server:
-            raise SimulationError(f"unknown pricing model {pricing!r}")
-        return [
-            (
-                100 * p.overcommitment_target,
-                100 * (p.result.revenue_per_server[pricing] / base - 1.0),
-            )
-            for p in series
-        ]
-
-    def _series(self, policy: str) -> list[SweepPoint]:
-        try:
-            return self.points[policy]
-        except KeyError:
-            raise SimulationError(
-                f"policy {policy!r} not in sweep; have {sorted(self.points)}"
-            ) from None
-
-
-def overcommitment_sweep(
-    traces: VMTraceSet,
-    levels: tuple[float, ...] = DEFAULT_OVERCOMMIT_LEVELS,
-    policies: tuple[str, ...] = DEFAULT_POLICIES,
-    cores_per_server: float = 48.0,
-    memory_per_server_mb: float = 128 * 1024,
-    partitioned: bool = False,
-    workers: int | None = None,
-) -> OvercommitSweep:
-    """Run the full (policy x overcommitment) grid on one trace.
-
-    Thin shim over the Scenario API: the grid is declared as scenarios and
-    executed with :func:`repro.scenario.run_sweep` (in parallel when
-    ``workers`` > 1 — bit-identical to the serial path), then folded back
-    into the legacy :class:`OvercommitSweep` shape.
+    ``results`` are one policy's runs in ascending overcommitment order,
+    e.g. ``sweep.filter(policy="priority")``.  All pricing schemes are
+    normalized against one *common* baseline: the ``baseline_pricing``
+    revenue at the lowest overcommitment level.  This matches the paper's
+    presentation, where priority-based pricing sits ~2x above static at
+    every level (higher priority VMs simply pay more) while
+    allocation-based pricing stays flat (deflation discounts offset the
+    density gain).
     """
-    from repro.scenario import Scenario, run_sweep
-
-    if not levels:
-        raise SimulationError("need at least one overcommitment level")
-    base = (
-        Scenario(name="overcommitment-sweep")
-        .with_traces(traces)
-        .with_server_shape(cores_per_server, memory_per_server_mb)
-    )
-    if partitioned:
-        base = base.with_partitions()
-    scenarios = [
-        base.with_policy(policy).with_overcommitment(oc)
-        for policy in policies
-        for oc in levels
-    ]
-    results = run_sweep(scenarios, workers=workers)
-    points: dict[str, list[SweepPoint]] = {policy: [] for policy in policies}
-    for res in results:
-        points[res.scenario.policy].append(
-            SweepPoint(
-                overcommitment_target=res.scenario.overcommitment,
-                n_servers=res.n_servers,
-                result=res.sim,
-            )
-        )
-    return OvercommitSweep(trace_size=len(traces), points=points)
+    series = results.series("overcommitment", "revenue_per_server")
+    if not series:
+        raise SimulationError("no results to normalize (is the policy in the sweep?)")
+    first = series[0][1]
+    base = first.get(baseline_pricing)
+    if base is None:
+        raise SimulationError(f"unknown pricing model {baseline_pricing!r}")
+    if base <= 0:
+        raise SimulationError("baseline revenue is zero; cannot normalize")
+    if pricing not in first:
+        raise SimulationError(f"unknown pricing model {pricing!r}")
+    return [(100 * oc, 100 * (rps[pricing] / base - 1.0)) for oc, rps in series]

@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deflation import (
-    POLICIES,
     DeterministicPolicy,
     PriorityPolicy,
     ProportionalPolicy,
     get_policy,
 )
 from repro.errors import DeflationError
+from repro.registry import names
 
-ALL_POLICY_NAMES = sorted(POLICIES)
+ALL_POLICY_NAMES = names("policy")
 
 
 def arrays(n, rng_seed=0):
@@ -157,7 +157,7 @@ class TestValidation:
             get_policy("nope")
 
     def test_registry_contents(self):
-        assert {"proportional", "priority", "deterministic"} <= set(POLICIES)
+        assert {"proportional", "priority", "deterministic"} <= set(ALL_POLICY_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ frac_strategy = st.floats(min_value=0.0, max_value=1.2)
 def test_policy_bounds_invariant(n, seed, frac, name):
     """No policy ever allocates below floor or above capacity."""
     caps, mins, prios = arrays(n, seed)
-    pol = POLICIES[name]
+    pol = get_policy(name)
     max_r = pol.max_reclaimable(caps, mins, prios)
     res = pol.target_allocations(caps, mins, prios, frac * max_r)
     assert np.all(res.allocations <= caps + 1e-6)
@@ -196,7 +196,7 @@ def test_policy_bounds_invariant(n, seed, frac, name):
 def test_policy_conservation_invariant(n, seed, frac, name):
     """Feasible requests are satisfied: total reclaimed >= requested."""
     caps, mins, prios = arrays(n, seed)
-    pol = POLICIES[name]
+    pol = get_policy(name)
     required = frac * pol.max_reclaimable(caps, mins, prios)
     res = pol.target_allocations(caps, mins, prios, required)
     assert res.satisfied
@@ -209,7 +209,7 @@ def test_reinflation_is_exact_inverse(n, seed, name):
     """Recompute-from-capacity: required=0 restores full allocations even
     after an intermediate deflation (Section 5.1.3's reinflation)."""
     caps, mins, prios = arrays(n, seed)
-    pol = POLICIES[name]
+    pol = get_policy(name)
     pol.target_allocations(caps, mins, prios, 0.5 * pol.max_reclaimable(caps, mins, prios))
     res = pol.target_allocations(caps, mins, prios, 0.0)
     np.testing.assert_allclose(res.allocations, caps)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.placement import (
-    STRATEGIES,
     CosineBestFit,
     FirstFit,
     ServerSnapshot,
@@ -16,6 +15,7 @@ from repro.core.placement import (
 )
 from repro.core.resources import ResourceVector
 from repro.errors import PlacementError
+from repro.registry import names, resolve
 
 
 def snap(sid, cap_cpu=48, used_cpu=0, defl_cpu=0, oc=1.0, partition=None):
@@ -113,7 +113,8 @@ class TestStrategies:
         assert order1 == order2
 
     def test_registry(self):
-        assert {"cosine-best-fit", "first-fit", "worst-fit"} <= set(STRATEGIES)
+        assert {"cosine-best-fit", "first-fit", "worst-fit"} <= set(names("placement"))
+        assert isinstance(resolve("placement", "cosine-best-fit"), CosineBestFit)
 
 
 class TestPartitions:

@@ -5,23 +5,25 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments.base import ExperimentResult, check_scale
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments import fig20_failure
+from repro.experiments.registry import get_experiment
+from repro.registry import names
 
-ALL_IDS = sorted(EXPERIMENTS)
+ALL_IDS = names("experiment")
 
 
 @pytest.fixture(scope="module")
 def results():
     """Run every experiment once (small scale); reuse across assertions."""
-    return {fig_id: EXPERIMENTS[fig_id]("small") for fig_id in ALL_IDS}
+    return {fig_id: get_experiment(fig_id)("small") for fig_id in ALL_IDS}
 
 
 class TestRegistry:
     def test_experiment_count(self):
-        assert len(EXPERIMENTS) == 19  # 17 paper figures + portfolio + churn
+        assert len(ALL_IDS) == 19  # 17 paper figures + portfolio + churn
 
     def test_lookup(self):
-        assert get_experiment("fig20") is EXPERIMENTS["fig20"]
+        assert get_experiment("fig20") is fig20_failure.run
         with pytest.raises(ReproError):
             get_experiment("fig99")
 

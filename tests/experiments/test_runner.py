@@ -45,9 +45,10 @@ class TestEngineAwareSweep:
 
         flat = cluster_sweep("small", partitioned=True)
         sharded = cluster_sweep("small", partitioned=True, engine="sharded")
-        for policy, points in flat.points.items():
-            other = sharded.points[policy]
-            assert [p.result for p in points] == [p.result for p in other]
+        assert len(flat) == len(sharded)
+        for f, s in zip(flat, sharded):
+            assert f.scenario == s.scenario.with_engine("cluster-sim")
+            assert f.sim == s.sim
 
     def test_sharded_requires_partitioned(self):
         from repro.errors import SimulationError

@@ -1,9 +1,9 @@
-"""Tests for the discrete-event core."""
+"""Tests for the queueing network's event queue."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.engine import EventQueue, Simulator
+from repro.queueing.network import EventQueue
 
 
 class TestEventQueue:
@@ -43,34 +43,3 @@ class TestEventQueue:
         q.schedule(1.0, None)
         assert q.peek_time() == 1.0
         assert len(q) == 1 and bool(q)
-
-
-class TestSimulator:
-    def test_callbacks_run_in_order(self):
-        sim = Simulator()
-        seen = []
-        sim.at(2.0, lambda: seen.append("late"))
-        sim.at(1.0, lambda: seen.append("early"))
-        sim.run()
-        assert seen == ["early", "late"]
-
-    def test_after_relative_delay(self):
-        sim = Simulator()
-        seen = []
-        sim.at(1.0, lambda: sim.after(0.5, lambda: seen.append(sim.now)))
-        sim.run()
-        assert seen == [1.5]
-
-    def test_run_until_horizon(self):
-        sim = Simulator()
-        seen = []
-        sim.at(1.0, lambda: seen.append(1))
-        sim.at(10.0, lambda: seen.append(10))
-        sim.run(until=5.0)
-        assert seen == [1]
-        assert sim.now == 5.0
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.after(-1.0, lambda: None)

@@ -276,9 +276,8 @@ class TestSweepIntegration:
             hits_before = SWEEP_CACHE.hits
             b = cluster_sweep("small")
             assert SWEEP_CACHE.hits > hits_before
-            for policy in a.points:
-                for pa, pb in zip(a.points[policy], b.points[policy]):
-                    assert pa.result == pb.result
+            assert a.scenarios() == b.scenarios()
+            assert [r.sim for r in a] == [r.sim for r in b]
         finally:
             SWEEP_CACHE.clear()
 

@@ -8,8 +8,7 @@ import pytest
 
 from repro.experiments.cluster_sweep import OC_LEVELS_SMALL, cluster_sweep
 from repro.scenario import ResultSet, Scenario, run_sweep
-from repro.simulator.metrics import DEFAULT_POLICIES, overcommitment_sweep
-from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
+from repro.simulator.metrics import DEFAULT_POLICIES
 
 
 @pytest.fixture(scope="module")
@@ -51,17 +50,16 @@ class TestRunSweep:
 
 
 class TestFigure20Equivalence:
-    """``run_sweep(workers=4)`` reproduces Figure 20's sweep bit-identically."""
+    """``cluster_sweep(workers=4)`` reproduces Figure 20's grid bit-identically."""
 
     def test_fig20_grid_parallel_equals_serial(self):
-        serial = cluster_sweep("small")  # the grid Figure 20 is drawn from
-        traces = synthesize_azure_trace(AzureTraceConfig(n_vms=500, seed=31))
-        parallel = overcommitment_sweep(
-            traces, levels=OC_LEVELS_SMALL, workers=4
-        )
-        assert set(parallel.points) == set(DEFAULT_POLICIES)
-        for policy in DEFAULT_POLICIES:
-            assert serial.failure_probabilities(policy) == parallel.failure_probabilities(policy)
-            for sp, pp in zip(serial.points[policy], parallel.points[policy]):
-                assert sp.n_servers == pp.n_servers
-                assert sp.result == pp.result  # bit-identical metrics
+        cluster_sweep.cache_clear()  # every scenario misses, so all fan out
+        parallel = cluster_sweep("small", workers=4)  # the grid Figure 20 is drawn from
+        serial = run_sweep(parallel.scenarios())  # cold, uncached, in-process
+        assert parallel.scenarios() == serial.scenarios()
+        assert [r.scenario.policy for r in parallel] == [
+            p for p in DEFAULT_POLICIES for _ in OC_LEVELS_SMALL
+        ]
+        for p, s in zip(parallel, serial):
+            assert p.n_servers == s.n_servers
+            assert p.sim == s.sim  # bit-identical metrics

@@ -1,21 +1,35 @@
-"""Tests for overcommitment sweeps and the Figure 20/21/22 orderings."""
+"""Tests for the overcommitment grid and the Figure 20/21/22 orderings."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.metrics import OvercommitSweep, overcommitment_sweep
+from repro.scenario import ResultSet, Scenario, run_sweep
+from repro.simulator.metrics import DEFAULT_POLICIES, revenue_increase
 from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 
 
 @pytest.fixture(scope="module")
-def sweep() -> OvercommitSweep:
+def sweep() -> ResultSet:
     traces = synthesize_azure_trace(AzureTraceConfig(n_vms=400, seed=21))
-    return overcommitment_sweep(traces, levels=(0.0, 0.3, 0.6))
+    base = Scenario(name="overcommitment-sweep").with_traces(traces)
+    return run_sweep(
+        [
+            base.with_policy(policy).with_overcommitment(oc)
+            for policy in DEFAULT_POLICIES
+            for oc in (0.0, 0.3, 0.6)
+        ]
+    )
+
+
+def by_pct(sweep: ResultSet, policy: str, metric: str) -> dict[float, float]:
+    """``{overcommitment %: metric}`` for one policy, keyed as the figures are."""
+    pairs = sweep.filter(policy=policy).series("overcommitment", metric)
+    return {100 * oc: v for oc, v in pairs}
 
 
 class TestStructure:
     def test_all_policies_present(self, sweep):
-        assert set(sweep.points) == {
+        assert {r.scenario.policy for r in sweep} == {
             "proportional",
             "priority",
             "deterministic",
@@ -23,20 +37,21 @@ class TestStructure:
         }
 
     def test_levels_preserved(self, sweep):
-        for series in sweep.points.values():
-            assert [p.overcommitment_target for p in series] == [0.0, 0.3, 0.6]
+        for policy in DEFAULT_POLICIES:
+            series = sweep.filter(policy=policy)
+            assert [r.scenario.overcommitment for r in series] == [0.0, 0.3, 0.6]
 
     def test_server_counts_decrease(self, sweep):
-        counts = [p.n_servers for p in sweep.points["proportional"]]
+        counts = [r.n_servers for r in sweep.filter(policy="proportional")]
         assert counts == sorted(counts, reverse=True)
 
     def test_unknown_policy_lookup(self, sweep):
         with pytest.raises(SimulationError):
-            sweep.failure_probabilities("nope")
+            revenue_increase(sweep.filter(policy="nope"), "static")
 
     def test_unknown_pricing_lookup(self, sweep):
         with pytest.raises(SimulationError):
-            sweep.revenue_increase("priority", "gold-plated")
+            revenue_increase(sweep.filter(policy="priority"), "gold-plated")
 
 
 class TestPaperOrderings:
@@ -44,7 +59,7 @@ class TestPaperOrderings:
 
     def test_fig20_preemption_dominates_deflation_failures(self, sweep):
         at_60 = {
-            p: dict(sweep.failure_probabilities(p))[60.0]
+            p: by_pct(sweep, p, "failure_probability")[60.0]
             for p in ("proportional", "priority", "deterministic", "preemption")
         }
         assert at_60["preemption"] > 0.1
@@ -54,7 +69,7 @@ class TestPaperOrderings:
     def test_fig20_proportional_lowest_failure(self, sweep):
         for oc in (30.0, 60.0):
             vals = {
-                p: dict(sweep.failure_probabilities(p))[oc]
+                p: by_pct(sweep, p, "failure_probability")[oc]
                 for p in ("proportional", "priority", "deterministic")
             }
             assert vals["proportional"] <= vals["priority"] + 1e-9
@@ -62,7 +77,7 @@ class TestPaperOrderings:
 
     def test_fig21_priority_beats_proportional_on_throughput(self, sweep):
         at_60 = {
-            p: dict(sweep.throughput_losses(p))[60.0]
+            p: by_pct(sweep, p, "throughput_loss")[60.0]
             for p in ("proportional", "priority", "deterministic")
         }
         assert at_60["priority"] < at_60["proportional"]
@@ -70,27 +85,22 @@ class TestPaperOrderings:
 
     def test_fig21_loss_small_at_low_overcommitment(self, sweep):
         for policy in ("proportional", "priority", "deterministic"):
-            at_0 = dict(sweep.throughput_losses(policy))[0.0]
+            at_0 = by_pct(sweep, policy, "throughput_loss")[0.0]
             assert at_0 < 0.02
 
     def test_fig22_priority_pricing_above_static(self, sweep):
-        static = dict(sweep.revenue_increase("priority", "static"))
-        prio = dict(sweep.revenue_increase("priority", "priority"))
+        priority = sweep.filter(policy="priority")
+        static = dict(revenue_increase(priority, "static"))
+        prio = dict(revenue_increase(priority, "priority"))
         for oc in (0.0, 30.0, 60.0):
             assert prio[oc] > static[oc]
 
     def test_fig22_static_revenue_grows_with_overcommitment(self, sweep):
-        static = [v for _, v in sweep.revenue_increase("priority", "static")]
+        static = [v for _, v in revenue_increase(sweep.filter(policy="priority"), "static")]
         assert static[-1] > static[0]
 
     def test_fig22_allocation_pricing_dampened(self, sweep):
-        static = dict(sweep.revenue_increase("priority", "static"))
-        alloc = dict(sweep.revenue_increase("priority", "allocation"))
+        priority = sweep.filter(policy="priority")
+        static = dict(revenue_increase(priority, "static"))
+        alloc = dict(revenue_increase(priority, "allocation"))
         assert alloc[60.0] < static[60.0]
-
-
-class TestValidation:
-    def test_empty_levels(self):
-        traces = synthesize_azure_trace(AzureTraceConfig(n_vms=20, seed=1))
-        with pytest.raises(SimulationError):
-            overcommitment_sweep(traces, levels=())

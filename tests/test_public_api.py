@@ -60,22 +60,7 @@ class TestTopLevel:
 
 
 class TestLegacyRegistryShims:
-    """The pre-registry dictionaries must keep working as mappings."""
-
-    def test_policies_shim(self):
-        from repro.core.deflation import POLICIES, get_policy
-
-        assert {"proportional", "priority", "priority-eq3", "deterministic"} <= set(POLICIES)
-        assert get_policy("proportional") is POLICIES["proportional"]
-        assert dict(POLICIES)  # Mapping protocol: iterable, len, getitem
-        assert len(POLICIES) >= 4
-        assert "proportional" in POLICIES and "nope" not in POLICIES
-
-    def test_strategies_shim(self):
-        from repro.core.placement import STRATEGIES, CosineBestFit
-
-        assert {"cosine-best-fit", "first-fit", "worst-fit"} <= set(STRATEGIES)
-        assert isinstance(STRATEGIES["cosine-best-fit"], CosineBestFit)
+    """``PRICING_MODELS``, the one pre-registry dictionary left, stays a mapping."""
 
     def test_pricing_models_shim(self):
         from repro.pricing.models import PRICING_MODELS, get_pricing
@@ -85,15 +70,9 @@ class TestLegacyRegistryShims:
         for name, model in PRICING_MODELS.items():
             assert model.rate(0.5, 1.0) > 0
 
-    def test_experiments_shim(self):
-        from repro.experiments.registry import EXPERIMENTS, get_experiment
-
-        assert {"fig03", "fig20", "fig21", "fig22"} <= set(EXPERIMENTS)
-        assert get_experiment("fig20") is EXPERIMENTS["fig20"]
-        assert callable(EXPERIMENTS["fig20"])
-
     def test_shims_are_views_over_one_registry(self):
-        from repro.core.deflation import POLICIES
-        from repro.registry import resolve
+        from repro.pricing.models import PRICING_MODELS
+        from repro.registry import names, resolve
 
-        assert POLICIES["priority"] is resolve("policy", "priority")
+        assert PRICING_MODELS["priority"] is resolve("pricing", "priority")
+        assert list(PRICING_MODELS) == names("pricing")
