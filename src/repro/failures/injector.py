@@ -716,7 +716,7 @@ class FailureInjector:
                 "absorbed_core_intervals",
                 max(0.0, float(sim.vm_end[vm]) - t) * float(sim.vm_caps[vm, 0]),
             )
-            if sim._policy is not None and sim.resident_deflatable[server]:
+            if sim._policy is not None:
                 # The departure relieved pressure on the source: reinflate
                 # the residents still waiting their turn.
                 sim._rebalance(t, server)
@@ -780,7 +780,7 @@ class FailureInjector:
         sim._set_capacity(server, self._nominal_cap[server])
         for c in sim._collectors:
             c.on_capacity_dip(t, server, 1.0, sim)
-        if sim._policy is not None and sim.resident_deflatable[server]:
+        if sim._policy is not None:
             # Reinflate: with the pressure gone the rebalance returns every
             # resident to full allocation.
             sim._rebalance(t, server)
@@ -788,8 +788,7 @@ class FailureInjector:
     def _absorb_pressure(self, sim, t: float, server: int) -> None:
         """Fit the server's residents into its (reduced) capacity."""
         if sim._policy is not None:
-            if sim.resident_deflatable[server]:
-                sim._rebalance(t, server)
+            sim._rebalance(t, server)
             if (sim.committed[server] - sim.reclaimed[server] > sim._cap_eps[server]).any():
                 self.counts["capacity_overruns"] += 1
             return

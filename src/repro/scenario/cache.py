@@ -36,9 +36,10 @@ from repro.scenario.results import ScenarioResult
 from repro.scenario.scenario import Scenario
 from repro.simulator.cluster_sim import ClusterSimConfig, ClusterSimResult
 
-#: Bump when the stored payload layout changes; part of every cache key, so
-#: stale on-disk entries from older layouts are simply never hit.
-CACHE_FORMAT_VERSION = 1
+#: Bump when the stored payload layout or the replay model changes; part of
+#: every cache key, so stale on-disk entries are simply never hit.  v2: an
+#: emptied server's reclaim is zeroed (no stale residue).
+CACHE_FORMAT_VERSION = 2
 
 
 def scenario_key(scenario: Scenario) -> str:

@@ -68,9 +68,11 @@ from the reference):
 * whenever no collector and no injector is attached, the driver
   coalesces each timestamp's run of departures into one rebalance per
   touched server — in every replay mode, one-shot, stepped, resumed, and
-  sharded alike (``_handle_end_batch`` documents the equivalence
-  argument; observed and failure-injected replays stay strictly
-  per-event).
+  sharded alike, with no exception: ``_rebalance`` zeroes the reclaim of
+  an emptied deflatable pool, so a batch that empties a server ends where
+  the sequential loop does (``_handle_end_batch`` documents the
+  equivalence argument; observed and failure-injected replays stay
+  strictly per-event).
 """
 
 from __future__ import annotations
@@ -1142,17 +1144,10 @@ class ClusterSimulator:
         * Rebalance recomputes targets from capacities and the server's
           *current* pressure (recompute-from-capacity semantics), so one
           rebalance over the final membership lands on exactly the state the
-          sequential loop's *last* rebalance of that server produced —
-          **provided that final rebalance runs at all**.  The one exception
-          is a batch that detaches *every* deflatable resident of a server:
-          ``_rebalance`` early-returns on an empty deflatable set without
-          touching ``self.reclaimed[server]``, so in the sequential loop the
-          residue left behind comes from the last rebalance that still saw a
-          deflatable resident — an *intermediate* membership this batch
-          never visits.  That residue feeds the availability score of later
-          placements (``used = committed - reclaimed``), so the whole
-          timestamp falls back to strict per-event processing whenever a
-          touched server's deflatable population would be emptied.
+          sequential loop's *last* rebalance of that server produced.  That
+          includes a batch that detaches every deflatable resident of a
+          server: ``_rebalance`` zeroes ``reclaimed`` on an empty deflatable
+          pool, whichever memberships came before.
         * The skipped intermediate rebalances could only have appended
           allocation-history rows at this same timestamp; the piecewise-
           constant allocation series reads the last row at or before each
@@ -1169,34 +1164,17 @@ class ClusterSimulator:
         sequential intermediate states; the golden and randomized
         equivalence suites pin all of the above against the strictly
         per-event reference simulator, and
-        ``tests/simulator/test_batched_ends.py`` pins the emptied-server
-        residue case directly in every replay mode.
+        ``tests/simulator/test_batched_ends.py`` pins the emptying batch
+        directly in every replay mode.
         """
         outcomes = self.outcomes
         vm_server = self.vm_server
-        departing: list[tuple[int, int]] = []
-        defl_departing: dict[int, int] = {}
+        touched: dict[int, None] = {}
         for vm in vms:
             out = outcomes[vm]
             if not out.placed or out.preempted:
                 continue
             server = int(vm_server[vm])
-            departing.append((vm, server))
-            if self.vm_deflatable[vm]:
-                defl_departing[server] = defl_departing.get(server, 0) + 1
-        if self._policy is not None and any(
-            n == len(self.resident_deflatable[s]) for s, n in defl_departing.items()
-        ):
-            # A server's deflatable population empties this timestamp: its
-            # reclaimed residue depends on intermediate memberships (see
-            # docstring), so replay the batch exactly as the sequential
-            # loop would.  Rare, and correctness beats the batching win.
-            for vm, server in departing:
-                self._detach(vm, server)
-                self._rebalance(t, server)
-            return
-        touched: dict[int, None] = {}
-        for vm, server in departing:
             self._detach(vm, server)
             touched[server] = None
         if self._policy is not None:
@@ -1208,6 +1186,9 @@ class ClusterSimulator:
         assert self._policy is not None
         defl = self.resident_deflatable[server]
         if not defl:
+            # Nothing left to deflate, so nothing is reclaimed.
+            self.reclaimed[server] = 0.0
+            self._dirty_rows.add(server)
             return
         committed = self.committed[server]
         r0 = committed[0] - self.server_cap[server, 0]

@@ -21,6 +21,11 @@ more pools than servers the two implementations assign different pools —
 this snapshot preserves the old (buggy, lowest-index-starved) behaviour.
 Golden comparisons therefore use ``n_servers >= n_pools``.
 
+One deliberate behavioural edit since the snapshot: ``_rebalance`` zeroes
+``reclaimed`` on a server whose last deflatable resident left, instead of
+keeping the stale residue (docs/performance.md, "Deliberate behavioural
+changes").
+
 Do not optimize this module; it is the yardstick.
 """
 
@@ -293,6 +298,7 @@ class ReferenceClusterSimulator:
         defl = self.resident_deflatable[server]
         required = self.committed[server] - self.server_cap[server]
         if not defl:
+            self.reclaimed[server] = 0.0
             return
         idx = np.fromiter(defl, dtype=np.int64, count=len(defl))
         caps = self.vm_caps[idx]

@@ -47,10 +47,12 @@ from repro.errors import SimulationError
 from repro.failures.injector import FailureInjector
 from repro.simulator.cluster_sim import VMOutcome, vm_pool_assignment
 
-#: Bump on any layout change; a snapshot from another version is refused,
-#: never misread.  v2: the stream is the VM cursor alone (the peak moved
-#: into ``state``), and the injector heap holds failure events only.
-SNAPSHOT_VERSION = 2
+#: Bump on any layout or model change; a snapshot from another version is
+#: refused, never misread.  v2: the stream is the VM cursor alone (the peak
+#: moved into ``state``), and the injector heap holds failure events only.
+#: v3: an emptied server's reclaim is zeroed, so a v2 snapshot may carry a
+#: stale residue.
+SNAPSHOT_VERSION = 3
 
 #: Array fields captured/restored verbatim (attribute name, snapshot key).
 _VM_ARRAYS = (

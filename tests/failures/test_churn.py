@@ -361,6 +361,30 @@ class TestWarningDrain:
         # the migration instant, and no deflation ever happened.
         assert sim.allocation_history(1) == [(0.0, 1.0), (6.0, 1.0)]
 
+    def test_drained_deflatable_pool_reclaims_nothing(self):
+        # Server 0 hosts a 3-core deflatable VM squeezed by a 2-core
+        # on-demand one (1 core reclaimed).  Server 1 arrives at t=3 and
+        # takes a memory-heavy blocker, so at the t=5 drain tick only the
+        # deflatable VM finds a destination.  The on-demand VM keeps
+        # server 0 running with nothing left to deflate: its reclaim is
+        # zero, so a dip to 1.6 cores at t=6 is a 2-core overrun, not a
+        # 1-core fit against a stale reclaim.
+        d = vm("d", cores=3, memory_mb=512)
+        od = vm("od", cores=2, memory_mb=2048, vm_class=VMClass.DELAY_INSENSITIVE)
+        blocker = vm("x", cores=1, start=4, memory_mb=7168,
+                     vm_class=VMClass.DELAY_INSENSITIVE)
+        dip = {"t": 6, "action": "dip", "server": 0, "scale": 0.4, "duration": 1}
+        sim = ClusterSimEngine().build(scenario(
+            [d, od, blocker], 1, [arrive(3, 1), revoke(5, 0), dip],
+            warning_intervals=3,
+        ))
+        sim.run_until(5.5)
+        assert min(f for _, f in sim.allocation_history(0)) < 1.0  # deflated
+        assert int(sim.vm_server[0]) == 1 and int(sim.vm_server[1]) == 0
+        assert sim.reclaimed[0].tolist() == [0.0, 0.0]
+        fi = sim.run().collected["failure-injection"]
+        assert fi["capacity_dips"] == 1 and fi["capacity_overruns"] == 1
+
     def test_residents_keep_running_until_deadline(self):
         # With no destination at all, the VM runs on the draining server
         # through the whole warning window and dies exactly at deadline.

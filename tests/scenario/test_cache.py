@@ -176,11 +176,14 @@ class TestQuarantine:
         import json
 
         path, cache, s, entry = self._seed_entry(tmp_path)
-        payload = json.loads(entry.read_text())
-        payload["version"] = 999
-        entry.write_text(json.dumps(payload))
-        assert cache.get(s) is None
-        assert cache.corrupt == 0 and entry.exists()  # stale, not quarantined
+        # v1 entries predate the emptied-server reclaim fix; 999 is a future
+        # layout.  Both miss cleanly.
+        for version in (1, 999):
+            payload = json.loads(entry.read_text())
+            payload["version"] = version
+            entry.write_text(json.dumps(payload))
+            assert cache.get(s) is None
+            assert cache.corrupt == 0 and entry.exists()  # stale, not quarantined
 
     def test_len_and_clear_ignore_quarantined_files(self, tmp_path):
         path, cache, s, entry = self._seed_entry(tmp_path)

@@ -134,8 +134,9 @@ class TestEngineSurface:
 
 class TestRestoreRefusals:
     def test_unknown_version(self, base, snapshot):
-        # The retired v1 layout and a future one are refused, never misread.
-        for version in (1, 99):
+        # The retired v1 layout, v2 (which may carry a stale reclaim residue)
+        # and a future one are refused, never misread.
+        for version in (1, 2, 99):
             other = dataclasses.replace(snapshot, version=version)
             sim = ClusterSimEngine().build(base)
             with pytest.raises(SimulationError, match=f"v{version} "):

@@ -1,17 +1,16 @@
-"""Regression pins for the batched same-timestamp departure path.
+"""Regression pins for departures that empty a server's deflatable pool.
 
-``ClusterSimulator._handle_end_batch`` processes one timestamp's departures
-with a single rebalance per touched server.  Its equivalence argument has
-one documented exception: a batch that detaches *every* deflatable resident
-of a server never runs a final rebalance there (``_rebalance`` early-returns
-on an empty deflatable set), so the ``reclaimed`` residue the sequential
-loop leaves behind comes from an intermediate membership the batch never
-visits — and that residue feeds the availability score of later placements.
-The handler must fall back to strict per-event processing for such
-timestamps; these tests pin both the surgical residue case — in every
-replay mode, since the one driver batches one-shot, stepped and resumed
-replays alike — and the 20k-VM bench case where the divergence was first
-observed.
+When a server's last deflatable resident leaves, ``_rebalance`` zeroes the
+server's ``reclaimed`` row: nothing is left to deflate, so nothing is
+reclaimed, and the scorer (``used = committed - reclaimed``) must not see
+free capacity that does not exist.  ``ClusterSimulator._handle_end_batch``
+processes one timestamp's departures with a single rebalance per touched
+server, and because the empty pool has one defined state, a batch that
+detaches every deflatable resident at once lands exactly where the
+sequential loop does.  These tests pin the zeroed reclaim after a single
+departure, a placement that a stale reclaim would flip, the emptying batch
+in every replay mode (the one driver batches one-shot, stepped and resumed
+replays alike), and batched == per-event at 20k VMs.
 """
 
 import numpy as np
@@ -28,12 +27,12 @@ from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 from repro.traces.schema import VMTraceRecord, VMTraceSet
 
 
-def _record(vm_id, cls, cores, start, length, util):
+def _record(vm_id, cls, cores, start, length, util, memory_mb=1024):
     return VMTraceRecord(
         vm_id=vm_id,
         vm_class=cls,
         cores=cores,
-        memory_mb=1024,
+        memory_mb=memory_mb,
         start_interval=start,
         cpu_util=np.full(length, util),
     )
@@ -56,6 +55,68 @@ def _resumed_from_snapshot(sim, traces, config):
     return resumed, resumed.run()
 
 
+DEFLATION_POLICIES = ("proportional", "priority", "deterministic")
+
+
+@pytest.mark.parametrize("policy", DEFLATION_POLICIES)
+def test_single_departure_zeroes_the_reclaim(policy):
+    """The last deflatable resident leaves alone: nothing stays reclaimed.
+
+    On one 10-core server an 8-core interactive VM (t 0-10) is deflated
+    when a 6-core on-demand VM arrives at t=2.  After the interactive VM
+    departs at t=10 the server hosts no deflatable VM, so its reclaim is
+    zero — not the 4 (proportional, priority) or 6.4 (deterministic) cores
+    the last non-empty rebalance had reclaimed.
+    """
+    traces = VMTraceSet(
+        records=[
+            _record("d", VMClass.INTERACTIVE, 8, start=0, length=10, util=0.05),
+            _record("od", VMClass.UNKNOWN, 6, start=2, length=20, util=0.9),
+        ]
+    )
+    config = ClusterSimConfig(n_servers=1, cores_per_server=10.0, policy=policy)
+    sim = ClusterSimulator(traces, config)
+    sim.run_until(10.5)
+    assert sim.allocation_history(0)[-1][1] < 1.0  # the VM was deflated
+    assert not sim.resident_deflatable[0]
+    assert sim.reclaimed[0].tolist() == [0.0, 0.0]
+    # The reference replays the same departure (and the on-demand VM's,
+    # which leaves the reclaim alone) per event.
+    ref = ReferenceClusterSimulator(traces, config)
+    ref.run()
+    assert ref.reclaimed[0].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("policy", DEFLATION_POLICIES)
+def test_emptied_server_does_not_attract_placements(policy):
+    """A stale reclaim would flip the next placement onto the emptied server.
+
+    Two 10-core, 10 GiB servers.  Server 0 hosts a 3-core, 6 GiB on-demand
+    VM.  Server 1 hosts an 8-core interactive VM (t 0-10), deflated by an
+    8-core on-demand VM from t=2.  At t=11 a 2-core, 2 GiB VM fits on
+    either server without deflation.  Server 1's true availability is
+    (0.2, 0.9) of capacity, server 0's is (0.7, 0.4): the cosine scorer
+    sends the arrival to server 0.  Had server 1 kept its reclaim, it would
+    have looked (0.8, 0.9) free and won the arrival.
+    """
+    traces = VMTraceSet(
+        records=[
+            _record("b", VMClass.UNKNOWN, 3, start=0, length=30, util=0.5, memory_mb=6144),
+            _record("d", VMClass.INTERACTIVE, 8, start=0, length=10, util=0.05),
+            _record("od", VMClass.UNKNOWN, 8, start=2, length=20, util=0.9),
+            _record("x", VMClass.UNKNOWN, 2, start=11, length=10, util=0.5, memory_mb=2048),
+        ]
+    )
+    config = ClusterSimConfig(
+        n_servers=2, cores_per_server=10.0, memory_per_server_mb=10240, policy=policy
+    )
+    sim = ClusterSimulator(traces, config)
+    result = sim.run()
+    assert result.mean_deflation > 0.0
+    assert sim.vm_server.tolist() == [0, 1, 1, 0]
+    assert result == ReferenceClusterSimulator(traces, config).run()
+
+
 @pytest.mark.parametrize(
     "replay",
     [_one_shot, _stepped_to_the_batch, _resumed_from_snapshot],
@@ -68,14 +129,12 @@ def test_emptying_batch_matches_sequential_reclaimed_residue(replay):
     resident when a 6-core on-demand VM arrives at t=2, pushing committed
     cores to 14 and deflating both (the deterministic policy's all-or-
     nothing reclaim leaves ``reclaimed > 0``).  Both deflatable VMs end at
-    t=10 — the same timestamp — so the batched path would detach both and
-    then find the deflatable set empty, skipping the rebalance that the
-    sequential loop ran while one VM still remained (which restored the
-    survivor and zeroed ``reclaimed``).  The handler must replay such
-    timestamps per-event: afterwards, optimized and reference bookkeeping
-    agree exactly, including the scoring-visible ``reclaimed`` rows —
-    whether the replay runs in one shot, stops right before the batch, or
-    resumes from a snapshot taken after it.
+    t=10 — the same timestamp — so the batched path detaches both and runs
+    one rebalance over the empty pool, where the sequential reference runs
+    one per departure.  Both zero the reclaim, so optimized and reference
+    bookkeeping agree exactly, including the scoring-visible ``reclaimed``
+    rows — whether the replay runs in one shot, stops right before the
+    batch, or resumes from a snapshot taken after it.
     """
     traces = VMTraceSet(
         records=[
@@ -88,25 +147,24 @@ def test_emptying_batch_matches_sequential_reclaimed_residue(replay):
     opt, opt_result = replay(ClusterSimulator(traces, config), traces, config)
     ref = ReferenceClusterSimulator(traces, config)
     ref_result = ref.run()
-    # The scenario must actually deflate, or the residue path was never hit.
+    # The scenario must actually deflate, or the emptied pool held nothing.
     assert opt_result.mean_deflation > 0.0
     assert opt_result == ref_result
-    # The residue itself: after the emptying departure the sequential loop
-    # leaves reclaimed == 0 (the last non-empty rebalance restored the
-    # survivor under zero pressure); a naive batch keeps the stale value.
     assert np.array_equal(opt.reclaimed, ref.reclaimed)
     assert float(opt.reclaimed.sum()) == 0.0
 
 
 @pytest.mark.slow
 def test_deterministic_scale_equivalence_20k():
-    """The bench case where the stale-residue divergence first surfaced.
+    """Batched departures equal the per-event reference at scale.
 
-    ``deterministic @ oc 0.3`` on the seed-11 20k-VM trace: the emptied-
-    server residue skewed availability scores enough to flip placements
-    (first visible as a spurious deflation around t=452 on server 27).
-    Small traces never hit the flip, so this exact configuration is pinned
-    at full size in the slow tier.
+    ``deterministic @ oc 0.3`` on the seed-11 20k-VM trace, where
+    timestamps that empty a server's deflatable pool are common enough that
+    any difference between the batched and the sequential departure paths
+    flips placements (a stale reclaim once surfaced here as a spurious
+    deflation around t=452 on server 27).  Small traces rarely reach such a
+    flip, so this exact configuration is pinned at full size in the slow
+    tier.
     """
     traces = synthesize_azure_trace(AzureTraceConfig(n_vms=20000, seed=11))
     n_servers = servers_for_overcommitment(traces, 0.3)

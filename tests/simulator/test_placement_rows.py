@@ -10,6 +10,14 @@ equals a from-scratch recomputation of every row.  A writer that forgets
 its dirty mark leaves a stale row here long before the stale row flips a
 placement in the equivalence suites.  The checks only read state, so an
 instrumented replay must also return exactly the uninstrumented result.
+
+The same checkpoints assert the model invariants behind those rows, on
+every server not yet revoked (draining servers included):
+
+* a server with no deflatable resident reclaims nothing;
+* ``0 <= reclaimed <= defl_cap - defl_floor`` (to 1e-9);
+* ``committed`` is the sum of the residents' capacities (to 1e-9);
+* a revoked server hosts no VM.
 """
 
 from __future__ import annotations
@@ -56,25 +64,64 @@ def _expected_rows(sim) -> tuple[np.ndarray, ...]:
         return tuple(sim._scorer.row_state(avail / cap))
 
 
-def _assert_coherent(sim) -> None:
+def _revoked(sim) -> set[int]:
+    return set() if sim._injector is None else sim._injector._revoked
+
+
+def _assert_coherent(sim, settled: bool = True) -> None:
+    """Rows equal a recomputation, and the model invariants hold.
+
+    ``settled`` is False inside a driver step (before a placement), where a
+    revocation may still be evacuating its residents one by one.
+    """
     cached = sim._fresh_rows()
     expected = _expected_rows(sim)
     assert len(cached) == len(expected)
     for got, want in zip(cached, expected):
         # NaN rows (revoked servers, zero capacity) compare equal.
         np.testing.assert_array_equal(got, want)
+    revoked = _revoked(sim)
+    for server, residents in enumerate(sim.residents):
+        if server in revoked:
+            assert not (settled and residents), f"revoked server {server} hosts {residents}"
+            continue
+        reclaimed = sim.reclaimed[server]
+        if not sim.resident_deflatable[server]:
+            assert not reclaimed.any(), (
+                f"server {server} has no deflatable resident but reclaims {reclaimed}"
+            )
+        assert (reclaimed >= 0.0).all(), (server, reclaimed)
+        headroom = sim.defl_cap[server] - sim.defl_floor[server]
+        assert (reclaimed <= headroom + 1e-9).all(), (server, reclaimed, headroom)
+        caps = sim.vm_caps[list(residents)].sum(axis=0)
+        assert np.abs(sim.committed[server] - caps).max() <= 1e-9, (server, caps)
 
 
-def _instrument(sim):
-    """Check coherence before every placement and after every driver step."""
+def _instrument(sim, emptied: list | None = None):
+    """Check coherence before every placement and after every driver step.
+
+    ``emptied``, when given, collects every non-revoked server found with
+    no deflatable resident right after a checkpoint that saw it reclaim,
+    so a test can show the zero-reclaim invariant was exercised.
+    """
     place = sim._place
+    reclaiming: list[int] = []
+
+    def check(settled):
+        _assert_coherent(sim, settled)
+        if emptied is not None:
+            revoked = _revoked(sim)
+            emptied.extend(
+                s for s in reclaiming if not sim.resident_deflatable[s] and s not in revoked
+            )
+            reclaiming[:] = np.flatnonzero(sim.reclaimed.any(axis=1)).tolist()
 
     def checked_place(t, vm):
-        _assert_coherent(sim)
+        check(settled=False)
         return place(t, vm)
 
     sim._place = checked_place
-    sim._on_step = lambda t, kind, key: _assert_coherent(sim)
+    sim._on_step = lambda t, kind, key: check(settled=True)
     return sim
 
 
@@ -97,6 +144,25 @@ def base_scenario():
 @pytest.mark.parametrize("policy", POLICIES)
 def test_rows_match_recomputation(base_scenario, policy, regime):
     _checked_run(REGIMES[regime](base_scenario.with_policy(policy)))
+
+
+def test_emptied_servers_reclaim_nothing():
+    """The last deflatable resident leaves a deflated server: no residue.
+
+    Neither the 200-VM base nor the randomized batches empty a server
+    that was still reclaiming; this trace does (three times), so the
+    zero-reclaim invariant is checked on real emptied servers.
+    """
+    scenario = (
+        Scenario(name="residue")
+        .with_workload("azure", n_vms=500, seed=2024)
+        .with_overcommitment(0.3)
+        .with_policy("proportional")
+    )
+    emptied: list[int] = []
+    result = _instrument(ClusterSimEngine().build(scenario), emptied).run()
+    assert emptied, "no server was emptied after reclaiming; the check is vacuous"
+    assert result == ClusterSimEngine().build(scenario).run()
 
 
 @pytest.mark.parametrize("scorer", ("most-available", "least-available"))
