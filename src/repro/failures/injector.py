@@ -622,12 +622,8 @@ class FailureInjector:
         cores = float(sim.vm_caps[vm, 0])
         end = float(sim.vm_end[vm])
         if self._place_tracked(sim, t, vm):
-            out = sim.outcomes[vm]
-            out.preempted = False
-            out.end_interval = end
-            if sim.vm_deflatable[vm]:
-                sim.vm_preempted[vm] = False
-            else:
+            sim.vm_preempted[vm] = False
+            if not sim.vm_deflatable[vm]:
                 self.counts["on_demand_lost"] -= 1  # it came back after all
             self.counts["recovered"] += 1
             self._accrue("downtime_intervals", t - kill_t)
@@ -640,17 +636,14 @@ class FailureInjector:
     def _mark_lost(self, sim, t: float, vm: int, server: int) -> None:
         """Terminate a VM the way a preemption does (flags + history).
 
-        The ``vm_preempted`` array feeds ``n_preempted`` and therefore the
-        Figure 20 ``failure_probability``, which is defined over
-        *deflatable* VMs — so only deflatable victims raise it.  On-demand
-        victims keep their ``VMOutcome.preempted`` flag (which ends their
-        replay) and are tallied in :meth:`summary` as ``on_demand_lost``.
+        ``vm_preempted`` marks every victim as ended early, which skips its
+        trace departure.  ``n_preempted`` and therefore the Figure 20
+        ``failure_probability`` count it over *deflatable* VMs only;
+        on-demand victims are tallied in :meth:`summary` as
+        ``on_demand_lost``.
         """
-        out = sim.outcomes[vm]
-        out.preempted = True
-        out.end_interval = t
+        sim.vm_preempted[vm] = True
         if sim.vm_deflatable[vm]:
-            sim.vm_preempted[vm] = True
             sim._append_history_one(vm, t, 0.0)
             sim._last_frac[vm] = 0.0
         else:
@@ -721,8 +714,7 @@ class FailureInjector:
                 # the residents still waiting their turn.
                 sim._rebalance(t, server)
             return True
-        sim._reattach(vm, server)
-        sim.vm_server[vm] = server
+        sim._attach(vm, server)
         return False
 
     def _deadline(self, sim, t: float, server: int) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -88,8 +89,10 @@ class Scenario:
             raise SimulationError('workload spec needs a "source" key naming a registered workload')
         if self.n_servers is not None and self.overcommitment is not None:
             raise SimulationError("size the cluster by n_servers or overcommitment, not both")
-        if self.overcommitment is not None and self.overcommitment < 0:
-            raise SimulationError("overcommitment must be >= 0")
+        if self.overcommitment is not None and not 0 <= self.overcommitment < math.inf:
+            raise SimulationError(
+                f"overcommitment must be a finite number >= 0, got {self.overcommitment!r}"
+            )
         object.__setattr__(self, "collectors", tuple(self.collectors))
         # Defensive deep copies: a caller-held spec must not mutate a frozen
         # scenario, including through nested payloads (e.g. a

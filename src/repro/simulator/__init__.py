@@ -9,7 +9,6 @@ from repro.simulator.cluster_sim import (
     ClusterSimConfig,
     ClusterSimResult,
     ClusterSimulator,
-    VMOutcome,
     servers_for_overcommitment,
 )
 from repro.simulator.components import (
@@ -26,7 +25,6 @@ __all__ = [
     "ClusterSimConfig",
     "ClusterSimResult",
     "ClusterSimulator",
-    "VMOutcome",
     "servers_for_overcommitment",
     "DEFAULT_POLICIES",
 ]

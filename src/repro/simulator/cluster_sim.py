@@ -65,14 +65,15 @@ from the reference):
   gemv over its candidates instead of rebuilding every candidate's
   availability (``_fresh_rows``; ``tests/simulator/test_placement_rows.py``
   checks the cache against a full recomputation after every event);
-* whenever no collector and no injector is attached, the driver
-  coalesces each timestamp's run of departures into one rebalance per
-  touched server — in every replay mode, one-shot, stepped, resumed, and
+* every departure goes through ``_handle_end_batch``; whenever no
+  collector and no injector is attached, the driver hands it each
+  timestamp's whole run of departures, so it rebalances each touched
+  server once — in every replay mode, one-shot, stepped, resumed, and
   sharded alike, with no exception: ``_rebalance`` zeroes the reclaim of
   an emptied deflatable pool, so a batch that empties a server ends where
   the sequential loop does (``_handle_end_batch`` documents the
-  equivalence argument; observed and failure-injected replays stay
-  strictly per-event).
+  equivalence argument; observed and failure-injected replays pass one
+  departure per call and stay strictly per-event).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from repro.simulator.components import (
     MetricsCollector,
     PlacementScorer,
 )
-from repro.traces.schema import VMTraceRecord, VMTraceSet
+from repro.traces.schema import VMTraceSet
 
 #: Resource dimensions used for bin-packing and deflation (paper: "We
 #: consider each VM's CPU core count and memory size").
@@ -157,26 +158,6 @@ class ClusterSimConfig:
 
 
 @dataclass
-class VMOutcome:
-    """Per-VM bookkeeping for the metrics.
-
-    The piecewise-constant allocation history formerly stored here as a
-    tuple list now lives in the simulator's flat history arrays; fetch it
-    with :meth:`ClusterSimulator.allocation_history`.
-    """
-
-    vm_index: int
-    deflatable: bool
-    priority: float
-    cores: float
-    placed: bool = False
-    rejected: bool = False
-    preempted: bool = False
-    reclaim_failure: bool = False
-    end_interval: float = 0.0  # actual end (may be early if preempted)
-
-
-@dataclass
 class ClusterSimResult:
     """Aggregate metrics of one run."""
 
@@ -234,7 +215,7 @@ class VMMetricTerms(NamedTuple):
     alloc_integral: np.ndarray  # sum of per-interval allocation fractions
     cores: np.ndarray  # CPU capacity
     lifetimes: np.ndarray  # lifetime, intervals
-    priorities: np.ndarray  # admission-time priority snapshot
+    priorities: np.ndarray  # billing priority, snapshotted at construction
 
 
 def reduce_vm_terms(terms: VMMetricTerms) -> dict:
@@ -449,10 +430,14 @@ class ClusterSimulator:
     def _prepare_vms(self) -> None:
         n = len(self.traces)
         self.vm_caps, self.vm_prio, self.vm_deflatable = vm_class_arrays(self.traces)
+        #: The priority each VM is billed at, snapshotted here: post-build
+        #: surgery on ``vm_prio`` (the priority-level ablation) changes
+        #: deflation decisions, not the agreed price.
+        self.vm_bill_prio = self.vm_prio.copy()
         #: Hosting server per VM (-1 = not placed).
         self.vm_server = np.full(n, -1, dtype=np.int64)
-        # Outcome flags mirrored as arrays so _collect can count and slice
-        # the population without a Python loop over VMOutcome objects.
+        # Outcome flags.  ``vm_preempted`` means the VM ended early, for any
+        # cause and any class; failure counts restrict it to deflatable VMs.
         self.vm_placed = np.zeros(n, dtype=bool)
         self.vm_rejected = np.zeros(n, dtype=bool)
         self.vm_preempted = np.zeros(n, dtype=bool)
@@ -460,23 +445,6 @@ class ClusterSimulator:
         self.vm_start = self.traces.start_interval.copy()
         self.vm_lifetime = self.traces.lifetimes
         self.vm_end = self.vm_start + self.vm_lifetime
-        self.outcomes: list[VMOutcome] = [
-            VMOutcome(
-                vm_index=i,
-                deflatable=deflatable,
-                priority=priority,
-                cores=cores,
-                end_interval=end,
-            )
-            for i, (deflatable, priority, cores, end) in enumerate(
-                zip(
-                    self.vm_deflatable.tolist(),
-                    self.vm_prio.tolist(),
-                    self.vm_caps[:, 0].tolist(),
-                    self.vm_end.astype(np.float64).tolist(),
-                )
-            )
-        ]
         # Policy floors: priority/deterministic deflate only to pi*M; every
         # policy additionally respects the configured QoS minimum fraction.
         base_floor = self.vm_caps * self.config.min_fraction
@@ -602,7 +570,8 @@ class ClusterSimulator:
         :meth:`FailureInjector.drive`, and the driver merges the injector's
         revocation/capacity-dip schedule (plus dynamically requeued
         restarts and drain ticks) with the VM event cursor; VM events still
-        reach the same ``_handle_start`` / ``_handle_end`` handlers.  The
+        reach the same ``_handle_start`` / ``_handle_end_batch`` handlers,
+        one departure per call.  The
         engine calls this for scenarios carrying a ``failures`` spec;
         direct simulator users may call it before :meth:`run`.
         """
@@ -740,7 +709,7 @@ class ClusterSimulator:
         injector = self._injector
         heap = [] if injector is None else injector._heap
         on_step = self._on_step
-        handle_start, handle_end = self._handle_start, self._handle_end
+        handle_start, handle_ends = self._handle_start, self._handle_end_batch
         # Observer-free failure-free replays coalesce each timestamp's run
         # of departures into one rebalance per touched server — see
         # _handle_end_batch for why this is bit-identical to per-event.
@@ -755,23 +724,17 @@ class ClusterSimulator:
                 kind = kind_list[i]
                 if t == ht and kind > hk:
                     break
+                j = i + 1
                 if kind == _END:
                     if batch_ends:
-                        j = i + 1
                         while j < n and kind_list[j] == _END and t_list[j] == t:
                             j += 1
-                        if j - i > 1:
-                            self._handle_end_batch(t, vm_list[i:j])
-                            if on_step is not None:
-                                on_step(t, _END, vm_list[i])
-                            i = j
-                            continue
-                    handle_end(t, vm_list[i])
+                    handle_ends(t, vm_list[i:j])
                 else:
                     handle_start(t, vm_list[i])
                 if on_step is not None:
                     on_step(t, kind, vm_list[i])
-                i += 1
+                i = j
             if ht >= stop:
                 break
             t, kind, key, aux = heapq.heappop(heap)
@@ -845,7 +808,7 @@ class ClusterSimulator:
         demanded = float(util.sum()) * cores
         if trivial:
             return demanded, 0.0, 0.0, float(self.vm_lifetime[i])
-        alloc = self._allocation_series(self.traces[i], self.outcomes[i])
+        alloc = self._allocation_series(i)
         lost = float(np.maximum(util - alloc, 0.0).sum()) * cores
         deflation = float((1.0 - alloc).sum()) * cores
         return demanded, lost, deflation, float(alloc.sum())
@@ -918,7 +881,7 @@ class ClusterSimulator:
 
     def _handle_start(self, t: float, vm: int) -> None:
         if not self._place(t, vm):
-            self._reject(t, vm, self.outcomes[vm])
+            self._reject(t, vm)
 
     def _place(self, t: float, vm: int) -> bool:
         """Admit ``vm`` onto the best feasible server; False if none can.
@@ -1054,14 +1017,32 @@ class ClusterSimulator:
         return (free + headroom / oc) / scap
 
     def _admit(self, t: float, vm: int, server: int) -> None:
-        out = self.outcomes[vm]
-        out.placed = True
         self.vm_placed[vm] = True
+        self._attach(vm, server)
+        if self._committed_cores > self._peak_committed:
+            self._peak_committed = self._committed_cores
+        if self.vm_deflatable[vm]:
+            self._append_history_one(vm, t, 1.0)
+            self._last_frac[vm] = 1.0
+        for c in self._collectors:
+            c.on_admit(t, vm, server, self)
+
+    def _reject(self, t: float, vm: int) -> None:
+        self.vm_rejected[vm] = True
+        for c in self._collectors:
+            c.on_reject(t, vm, self)
+
+    def _attach(self, vm: int, server: int) -> None:
+        """Add a VM to a server's bookkeeping and record it as the host.
+
+        The inverse of :meth:`_detach`: membership and capacity only.
+        :meth:`_admit` adds the outcome, peak, history and collector
+        updates of a placement; the failure injector calls this directly
+        to put back a drain migration that found no destination.
+        """
         self.committed[server] += self.vm_caps[vm]
         self._dirty_rows.add(server)
         self._committed_cores += float(self.vm_caps[vm, 0])
-        if self._committed_cores > self._peak_committed:
-            self._peak_committed = self._committed_cores
         self.residents[server][vm] = None
         self.vm_server[vm] = server
         if self.vm_deflatable[vm]:
@@ -1070,16 +1051,6 @@ class ClusterSimulator:
             self.defl_floor[server] += self.vm_floor[vm]
             self._srv_cache[server] = None
             self._srv_victims[server] = None
-            self._append_history_one(vm, t, 1.0)
-            self._last_frac[vm] = 1.0
-        for c in self._collectors:
-            c.on_admit(t, vm, server, self)
-
-    def _reject(self, t: float, vm: int, out: VMOutcome) -> None:
-        out.rejected = True
-        self.vm_rejected[vm] = True
-        for c in self._collectors:
-            c.on_reject(t, vm, self)
 
     def _detach(self, vm: int, server: int) -> None:
         """Remove a VM from a server's bookkeeping (no outcome changes).
@@ -1098,45 +1069,18 @@ class ClusterSimulator:
             self._srv_cache[server] = None
             self._srv_victims[server] = None
 
-    def _reattach(self, vm: int, server: int) -> None:
-        """Exact inverse of :meth:`_detach` (no collectors, no history).
-
-        Used by the failure injector when a budgeted drain migration finds
-        no destination: the VM never left the (still-running) source, so
-        its bookkeeping is restored verbatim and the evacuation retries at
-        the next tick.
-        """
-        self.committed[server] += self.vm_caps[vm]
-        self._dirty_rows.add(server)
-        self._committed_cores += float(self.vm_caps[vm, 0])
-        self.residents[server][vm] = None
-        if self.vm_deflatable[vm]:
-            self.resident_deflatable[server][vm] = None
-            self.defl_cap[server] += self.vm_caps[vm]
-            self.defl_floor[server] += self.vm_floor[vm]
-            self._srv_cache[server] = None
-            self._srv_victims[server] = None
-
-    def _handle_end(self, t: float, vm: int) -> None:
-        out = self.outcomes[vm]
-        if not out.placed or out.preempted:
-            return
-        server = int(self.vm_server[vm])
-        self._detach(vm, server)
-        for c in self._collectors:
-            c.on_end(t, vm, server, self)
-        if self._policy is not None:
-            self._rebalance(t, server)
-
     def _handle_end_batch(self, t: float, vms: list) -> None:
-        """One timestamp's departures with a single rebalance per server.
+        """Departures at one timestamp, with a single rebalance per server.
 
-        The driver (:meth:`_replay`) calls this in every replay mode —
-        one-shot, stepped, snapshot-resumed, and sharded — whenever no
-        collector and no injector is attached; observed and
-        failure-injected replays stay strictly per-event.  A ``run_until``
-        boundary never splits a batch: it cuts by time, and a batch shares
-        one timestamp.  Equivalence with the sequential loop, in full:
+        The driver (:meth:`_replay`) sends every departure here.  Whenever
+        no collector and no injector is attached it passes the timestamp's
+        whole run of departures, in every replay mode — one-shot, stepped,
+        snapshot-resumed, and sharded; observed and failure-injected
+        replays pass one VM per call, which keeps the per-event order
+        detach, ``on_end``, rebalance.  A VM that was never placed or
+        already ended early is skipped.  A ``run_until`` boundary never
+        splits a batch: it cuts by time, and a batch shares one timestamp.
+        Equivalence with the sequential loop, in full:
 
         * Detaches are independent per-VM bookkeeping, applied in the same
           event order, so the post-batch membership and committed totals are
@@ -1160,22 +1104,22 @@ class ClusterSimulator:
           that, so no intermediate rebalance could have raised a
           ``reclaim_failure`` the final one misses.
 
-        Collectors force the per-event path because their hooks observe the
+        Collectors force one VM per call because their hooks observe the
         sequential intermediate states; the golden and randomized
         equivalence suites pin all of the above against the strictly
         per-event reference simulator, and
         ``tests/simulator/test_batched_ends.py`` pins the emptying batch
         directly in every replay mode.
         """
-        outcomes = self.outcomes
-        vm_server = self.vm_server
+        placed, preempted, vm_server = self.vm_placed, self.vm_preempted, self.vm_server
         touched: dict[int, None] = {}
         for vm in vms:
-            out = outcomes[vm]
-            if not out.placed or out.preempted:
+            if not placed[vm] or preempted[vm]:
                 continue
             server = int(vm_server[vm])
             self._detach(vm, server)
+            for c in self._collectors:
+                c.on_end(t, vm, server, self)
             touched[server] = None
         if self._policy is not None:
             for server in touched:
@@ -1253,8 +1197,6 @@ class ClusterSimulator:
             # Should not happen (feasibility was checked at admission), but a
             # departure race could in principle expose it; count it.
             self.vm_reclaim_failure[idx] = True
-            for j in idx:
-                self.outcomes[int(j)].reclaim_failure = True
         # Record CPU allocation fraction changes (bulk append).
         frac = 1.0 - new_reclaimed[:, 0] / frac_denom
         changed = np.abs(frac - self._last_frac[idx]) > 1e-9
@@ -1346,10 +1288,7 @@ class ClusterSimulator:
     def _preempt(self, t: float, vm: int) -> None:
         if self._preempt_log is not None:
             self._preempt_log.append(vm)
-        out = self.outcomes[vm]
-        out.preempted = True
         self.vm_preempted[vm] = True
-        out.end_interval = t
         server = int(self.vm_server[vm])
         self._detach(vm, server)
         self._append_history_one(vm, t, 0.0)
@@ -1415,22 +1354,20 @@ class ClusterSimulator:
 
     # -- metrics -----------------------------------------------------------------------
 
-    def _allocation_series(self, rec: VMTraceRecord, out: VMOutcome) -> np.ndarray:
-        """Per-interval CPU allocation fraction over the VM's lifetime."""
-        n = rec.lifetime_intervals
-        if out.preempted:
-            n = max(0, min(n, int(math.ceil(out.end_interval - rec.start_interval))))
-        alloc = np.ones(rec.lifetime_intervals)
-        times, fracs = self._history_of(out.vm_index)
+    def _allocation_series(self, vm: int) -> np.ndarray:
+        """Per-interval CPU allocation fraction over the VM's lifetime.
+
+        Every early end of a deflatable VM appends a ``(t, 0.0)`` history
+        row, so the lookup reads 0.0 at every grid point from ``t`` on.
+        """
+        lifetime = int(self.vm_lifetime[vm])
+        times, fracs = self._history_of(vm)
         if times.size == 0:
-            return alloc
-        times = times - rec.start_interval
-        grid = np.arange(rec.lifetime_intervals, dtype=np.float64)
+            return np.ones(lifetime)
+        times = times - self.vm_start[vm]
+        grid = np.arange(lifetime, dtype=np.float64)
         pos = np.searchsorted(times, grid, side="right") - 1
-        alloc = np.where(pos >= 0, fracs[np.clip(pos, 0, len(fracs) - 1)], 1.0)
-        if out.preempted:
-            alloc[n:] = 0.0
-        return alloc
+        return np.where(pos >= 0, fracs[np.clip(pos, 0, len(fracs) - 1)], 1.0)
 
     def _metric_terms(self) -> "VMMetricTerms":
         """Per-VM metric terms over the deflatable placed population.
@@ -1476,12 +1413,10 @@ class ClusterSimulator:
                 self._terms_for_vm(i, trivial[k])
             )
 
-        # Bill at the admission-time priority snapshot (VMOutcome.priority),
-        # exactly as the reference does — post-build surgery on vm_prio
-        # affects deflation decisions, not the agreed price.
-        prio_sel = np.array(
-            [self.outcomes[i].priority for i in sel.tolist()], dtype=np.float64
-        )
+        # Bill at the priority snapshotted at construction, exactly as the
+        # reference does — post-build surgery on vm_prio affects deflation
+        # decisions, not the agreed price.
+        prio_sel = self.vm_bill_prio[sel]
         return VMMetricTerms(
             sel=sel,
             demanded=demanded_t,
@@ -1519,7 +1454,7 @@ class ClusterSimulator:
             n_placed=int(self.vm_placed.sum()),
             n_rejected_deflatable=int((self.vm_rejected & self.vm_deflatable).sum()),
             n_rejected_on_demand=int((self.vm_rejected & ~self.vm_deflatable).sum()),
-            n_preempted=int(self.vm_preempted.sum()),
+            n_preempted=int((self.vm_preempted & self.vm_deflatable).sum()),
             n_reclaim_failures=int(
                 (self.vm_reclaim_failure & ~self.vm_rejected).sum()
             ),
@@ -1547,8 +1482,10 @@ def servers_for_overcommitment(
     committed load (overcommitment 0), then shrink it.  Peak committed load
     is computed directly from the trace (all VMs placed).
     """
-    if overcommitment < 0:
-        raise SimulationError("overcommitment must be >= 0")
+    if not 0 <= overcommitment < math.inf:
+        raise SimulationError(
+            f"overcommitment must be a finite number >= 0, got {overcommitment!r}"
+        )
     # Integer core counts: the float sums are exact in any order.
     size = traces.horizon() + 1
     ends = traces.start_interval + traces.lifetimes

@@ -45,19 +45,21 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.failures.injector import FailureInjector
-from repro.simulator.cluster_sim import VMOutcome, vm_pool_assignment
+from repro.simulator.cluster_sim import vm_pool_assignment
 
 #: Bump on any layout or model change; a snapshot from another version is
 #: refused, never misread.  v2: the stream is the VM cursor alone (the peak
 #: moved into ``state``), and the injector heap holds failure events only.
 #: v3: an emptied server's reclaim is zeroed, so a v2 snapshot may carry a
-#: stale residue.
-SNAPSHOT_VERSION = 3
+#: stale residue.  v4: the per-VM outcome objects are gone; the ``vm_*``
+#: arrays (with ``vm_bill_prio``) are the only per-VM record.
+SNAPSHOT_VERSION = 4
 
 #: Array fields captured/restored verbatim (attribute name, snapshot key).
 _VM_ARRAYS = (
     "vm_caps",
     "vm_prio",
+    "vm_bill_prio",
     "vm_deflatable",
     "vm_floor",
     "vm_server",
@@ -71,11 +73,27 @@ _VM_ARRAYS = (
 )
 _SERVER_ARRAYS = ("server_cap", "committed", "reclaimed", "defl_cap", "defl_floor", "server_pool")
 
-#: VMOutcome flags are stored separately from the mirror arrays: they can
-#: legitimately diverge (an on-demand evacuation victim is ``preempted`` in
-#: its outcome but not in ``vm_preempted``, which only counts deflatable
-#: failures), so neither can be rebuilt from the other.
-_OUTCOME_FIELDS = ("placed", "rejected", "preempted", "reclaim_failure")
+#: Every key :func:`capture` writes into ``SimSnapshot.state``;
+#: :func:`restore_into` refuses a state with any other key set.
+_STATE_KEYS = frozenset(
+    _VM_ARRAYS
+    + _SERVER_ARRAYS
+    + (
+        "last_frac",
+        "residents",
+        "resident_deflatable",
+        "server_alive",
+        "draining_servers",
+        "committed_cores",
+        "peak_committed",
+        "n_initial_servers",
+        "hist_vm",
+        "hist_t",
+        "hist_f",
+        "pool_members",
+        "final_terms",
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -171,15 +189,6 @@ def capture(sim) -> SimSnapshot:
     for name in _SERVER_ARRAYS:
         state[name] = getattr(sim, name).copy()
     state["last_frac"] = sim._last_frac.copy()
-    n = len(sim.traces)
-    state["out_priority"] = np.array([o.priority for o in sim.outcomes], dtype=np.float64)
-    state["out_cores"] = np.array([o.cores for o in sim.outcomes], dtype=np.float64)
-    state["out_deflatable"] = np.array([o.deflatable for o in sim.outcomes], dtype=bool)
-    state["out_end_interval"] = np.array(
-        [o.end_interval for o in sim.outcomes], dtype=np.float64
-    )
-    for fld in _OUTCOME_FIELDS:
-        state[f"out_{fld}"] = np.array([getattr(o, fld) for o in sim.outcomes], dtype=bool)
     state["residents"] = tuple(tuple(d) for d in sim.residents)
     state["resident_deflatable"] = tuple(tuple(d) for d in sim.resident_deflatable)
     alive = sim._server_alive
@@ -216,7 +225,7 @@ def capture(sim) -> SimSnapshot:
         version=SNAPSHOT_VERSION,
         at=float(stream["at"]),
         config=sim.config,
-        n_traces=n,
+        n_traces=len(sim.traces),
         state=state,
         stream={"cursor": int(stream["cursor"])},
         injector=injector_state,
@@ -254,25 +263,12 @@ def restore_into(sim, snap: SimSnapshot) -> None:
         )
 
     st = snap.state
+    _check_state(st, n)
     for name in _VM_ARRAYS:
         setattr(sim, name, st[name].copy())
     for name in _SERVER_ARRAYS:
         setattr(sim, name, st[name].copy())
     sim._last_frac = st["last_frac"].copy()
-    sim.outcomes = [
-        VMOutcome(
-            vm_index=i,
-            deflatable=bool(st["out_deflatable"][i]),
-            priority=float(st["out_priority"][i]),
-            cores=float(st["out_cores"][i]),
-            placed=bool(st["out_placed"][i]),
-            rejected=bool(st["out_rejected"][i]),
-            preempted=bool(st["out_preempted"][i]),
-            reclaim_failure=bool(st["out_reclaim_failure"][i]),
-            end_interval=float(st["out_end_interval"][i]),
-        )
-        for i in range(n)
-    ]
     s = len(st["residents"])
     sim.residents = [dict.fromkeys(r) for r in st["residents"]]
     sim.resident_deflatable = [dict.fromkeys(r) for r in st["resident_deflatable"]]
@@ -335,6 +331,29 @@ def restore_into(sim, snap: SimSnapshot) -> None:
         collector.restore(copy.deepcopy(payload))
 
     _restore_stream(sim, snap)
+
+
+def _check_state(st: dict, n: int) -> None:
+    """Refuse a malformed state before any of it is written into a simulator.
+
+    The key set must be exactly what :func:`capture` writes, and every
+    per-VM array must hold one row per VM; otherwise a missing key would
+    surface as a bare ``KeyError`` and a short array as an ``IndexError``
+    deep inside the resumed replay.
+    """
+    if not isinstance(st, dict):
+        raise SimulationError(f"snapshot state is a {type(st).__name__}, not a dict")
+    missing = sorted(_STATE_KEYS - st.keys())
+    if missing:
+        raise SimulationError(f"snapshot state is missing {', '.join(map(repr, missing))}")
+    extra = sorted(map(repr, st.keys() - _STATE_KEYS))
+    if extra:
+        raise SimulationError(f"snapshot state has unexpected {', '.join(extra)}")
+    for name in _VM_ARRAYS + ("last_frac",):
+        if len(st[name]) != n:
+            raise SimulationError(
+                f"snapshot array {name!r} has {len(st[name])} rows, expected one per VM ({n})"
+            )
 
 
 def _restore_stream(sim, snap: SimSnapshot) -> None:

@@ -86,9 +86,11 @@ class TestRevocationEvacuate:
 
     def test_on_demand_losses_not_counted_as_deflatable_failures(self):
         batch = vm("b", vm_class=VMClass.DELAY_INSENSITIVE)
-        _, res = build_and_run([batch], 1, [revoke(5, 0)])
+        sim, res = build_and_run([batch], 1, [revoke(5, 0)])
         fi = res.collected["failure-injection"]
         assert fi["on_demand_lost"] == 1
+        # Ended early like any other victim, but not a deflatable failure.
+        assert sim.vm_preempted[0]
         assert res.n_preempted == 0
         assert res.failure_probability == 0.0  # no deflatable VM failed
 
@@ -104,7 +106,7 @@ class TestRevocationEvacuate:
         fi = res.collected["failure-injection"]
         assert fi["evacuated"] == 1
         assert int(sim.vm_server[0]) == 0 and int(sim.vm_server[1]) == 0
-        assert not sim.outcomes[0].preempted and not sim.outcomes[1].preempted
+        assert not sim.vm_preempted[0] and not sim.vm_preempted[1]
         # Deflation shows up in the allocation histories.
         fracs = {f for _, f in sim.allocation_history(0)} | {
             f for _, f in sim.allocation_history(1)
@@ -171,7 +173,7 @@ class TestCapacityDips:
         low = vm("low", util=0.2)   # p95 < 0.33 -> lowest priority
         high = vm("high", util=0.7)  # p95 in [0.66, 0.80)
         sim, res = build_and_run([low, high], 1, [dip(5, 0, 0.5, 5)], policy="preemption")
-        assert sim.outcomes[0].preempted and not sim.outcomes[1].preempted
+        assert sim.vm_preempted[0] and not sim.vm_preempted[1]
         assert res.collected["failure-injection"]["capacity_overruns"] == 0
 
     def test_dip_on_revoked_server_is_ignored(self):
@@ -234,7 +236,7 @@ class TestCascades:
         sim, res = build_and_run([batch, defl], 2, [revoke(5, 0)], policy="preemption")
         fi = res.collected["failure-injection"]
         assert int(sim.vm_server[0]) == 1
-        assert sim.outcomes[1].preempted
+        assert sim.vm_preempted[1]
         assert fi["cascade_preemptions"] == 1
         # The victim's remaining work: (20 - 5) intervals x 2 cores.
         assert fi["lost_core_intervals"] == pytest.approx(30.0)

@@ -134,12 +134,39 @@ class TestEngineSurface:
 
 class TestRestoreRefusals:
     def test_unknown_version(self, base, snapshot):
-        # The retired v1 layout, v2 (which may carry a stale reclaim residue)
-        # and a future one are refused, never misread.
-        for version in (1, 2, 99):
+        # The retired v1 layout, v2 (which may carry a stale reclaim residue),
+        # v3 (which carries per-VM outcome objects) and a future one are
+        # refused, never misread.
+        for version in (1, 2, 3, 99):
             other = dataclasses.replace(snapshot, version=version)
             sim = ClusterSimEngine().build(base)
             with pytest.raises(SimulationError, match=f"v{version} "):
+                sim.restore(other)
+
+    def test_missing_state_key(self, base, snapshot):
+        # Every key capture writes is required; a missing one is named
+        # before anything is written, not a bare KeyError mid-restore.
+        for key in snapshot.state:
+            state = {k: v for k, v in snapshot.state.items() if k != key}
+            other = dataclasses.replace(snapshot, state=state)
+            sim = ClusterSimEngine().build(base)
+            with pytest.raises(SimulationError, match=f"missing '{key}'"):
+                sim.restore(other)
+
+    def test_unexpected_state_key(self, base, snapshot):
+        other = dataclasses.replace(snapshot, state={**snapshot.state, "out_placed": None})
+        sim = ClusterSimEngine().build(base)
+        with pytest.raises(SimulationError, match="unexpected 'out_placed'"):
+            sim.restore(other)
+
+    def test_truncated_vm_array(self, base, snapshot):
+        # A short per-VM array would otherwise restore silently and fail
+        # mid-replay with an IndexError.
+        for key in [k for k in snapshot.state if k.startswith("vm_")]:
+            state = {**snapshot.state, key: snapshot.state[key][:-1]}
+            other = dataclasses.replace(snapshot, state=state)
+            sim = ClusterSimEngine().build(base)
+            with pytest.raises(SimulationError, match=f"'{key}' has {snapshot.n_traces - 1} rows"):
                 sim.restore(other)
 
     def test_not_a_snapshot(self, base):

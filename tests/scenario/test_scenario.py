@@ -1,5 +1,7 @@
 """Tests for the declarative Scenario builder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ class TestBuilder:
     def test_negative_overcommitment_rejected(self):
         with pytest.raises(SimulationError):
             Scenario().with_overcommitment(-0.1)
+
+    @pytest.mark.parametrize("oc", [math.inf, math.nan])
+    def test_non_finite_overcommitment_rejected(self, oc):
+        with pytest.raises(SimulationError, match="finite"):
+            Scenario(overcommitment=oc)
+        with pytest.raises(SimulationError, match="finite"):
+            Scenario().with_overcommitment(oc)
 
     def test_describe_mentions_key_knobs(self):
         s = Scenario(name="x").with_workload("azure").with_policy("priority").with_servers(7)

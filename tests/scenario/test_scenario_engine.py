@@ -72,7 +72,7 @@ class TestClusterSimEngine:
         assert isinstance(sim, ClusterSimulator)
         assert sim.config.n_servers == 4
         # build() does not run: no VM placed yet.
-        assert not any(o.placed for o in sim.outcomes)
+        assert not sim.vm_placed.any()
 
     def test_collectors_attach_through_scenario(self, traces):
         result = run_scenario(

@@ -1,5 +1,7 @@
 """Tests for the trace-driven cluster simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,7 @@ class TestSmallScenarios:
         sim = ClusterSimulator(traces, cfg)
         result = sim.run()
         # VM a: deflated (0.75) for 10 intervals, full for the next 10.
-        out_a = sim.outcomes[0]
-        series = sim._allocation_series(traces[0], out_a)
+        series = sim._allocation_series(0)
         assert series[:10].mean() == pytest.approx(0.75, abs=0.02)
         assert series[10:].mean() == pytest.approx(1.0, abs=1e-6)
         del result
@@ -136,8 +137,7 @@ class TestSmallScenarios:
         sim = ClusterSimulator(traces, cfg)
         sim.run()
         # All 16 cores of pressure landed on the deflatable VM.
-        out = {o.vm_index: o for o in sim.outcomes}
-        series = sim._allocation_series(traces[1], out[1])
+        series = sim._allocation_series(1)
         assert series.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_preemption_baseline_preempts_lowest_priority(self):
@@ -219,6 +219,13 @@ class TestServersForOvercommitment:
     def test_negative_rejected(self, azure_trace):
         with pytest.raises(SimulationError):
             servers_for_overcommitment(azure_trace, -0.1)
+
+    @pytest.mark.parametrize("oc", [math.inf, math.nan])
+    def test_non_finite_rejected(self, azure_trace, oc):
+        # inf would size the cluster to one server, nan would fail inside
+        # math.ceil with an untyped error.
+        with pytest.raises(SimulationError, match="finite"):
+            servers_for_overcommitment(azure_trace, oc)
 
 
 class TestRunIsIdempotent:

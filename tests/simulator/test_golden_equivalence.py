@@ -170,14 +170,14 @@ def test_allocation_series_match(golden_trace, tight_servers):
     opt = ClusterSimulator(golden_trace, config)
     opt.run()
     for i, rec in enumerate(golden_trace):
-        r_out, o_out = ref.outcomes[i], opt.outcomes[i]
+        r_out = ref.outcomes[i]
         assert (r_out.placed, r_out.rejected, r_out.preempted) == (
-            o_out.placed,
-            o_out.rejected,
-            o_out.preempted,
+            opt.vm_placed[i],
+            opt.vm_rejected[i],
+            opt.vm_preempted[i],
         )
         if not r_out.deflatable or not r_out.placed:
             continue
         r_series = ref._allocation_series(rec, r_out)
-        o_series = opt._allocation_series(rec, o_out)
+        o_series = opt._allocation_series(i)
         assert r_series.tolist() == o_series.tolist(), f"vm {i}"

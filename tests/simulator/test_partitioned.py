@@ -82,8 +82,7 @@ class TestPoolRouting:
         sim = ClusterSimulator(traces, cfg)
         sim.run()
         for i, rec in enumerate(traces):
-            out = sim.outcomes[i]
-            if not out.placed:
+            if not sim.vm_placed[i]:
                 continue
             server = int(sim.vm_server[i])
             pool = int(sim.server_pool[server])
@@ -105,7 +104,7 @@ class TestPoolRouting:
         result = sim.run()
         assert result.n_placed > 0
         for i in range(len(traces)):
-            if sim.outcomes[i].placed and sim.vm_deflatable[i]:
+            if sim.vm_placed[i] and sim.vm_deflatable[i]:
                 pool = int(sim.server_pool[int(sim.vm_server[i])])
                 assert pool == sim._pool_of_level[round(float(sim.vm_prio[i]), 6)]
 
@@ -129,11 +128,11 @@ class TestPoolExhaustion:
         )
         sim = ClusterSimulator(traces, cfg)
         result = sim.run()
-        outcomes = {traces[i].vm_id: sim.outcomes[i] for i in range(len(traces))}
-        assert outcomes["low-0"].placed
-        assert outcomes["low-1"].rejected, "pool exhaustion must reject, not spill"
-        assert outcomes["high-0"].placed
-        assert outcomes["od-0"].placed
+        index = {traces[i].vm_id: i for i in range(len(traces))}
+        assert sim.vm_placed[index["low-0"]]
+        assert sim.vm_rejected[index["low-1"]], "pool exhaustion must reject, not spill"
+        assert sim.vm_placed[index["high-0"]]
+        assert sim.vm_placed[index["od-0"]]
         assert result.n_rejected_deflatable == 1
 
     def test_shared_pool_accepts_what_partitions_reject(self):

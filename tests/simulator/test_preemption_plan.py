@@ -129,7 +129,7 @@ class TestEndToEndPreemption:
         result = sim.run()
         assert result.n_preempted >= 1
         preempted = {
-            traces[i].vm_id for i in range(len(traces)) if sim.outcomes[i].preempted
+            traces[i].vm_id for i in range(len(traces)) if sim.vm_preempted[i]
         }
         # Evicting the single 24-core VM frees a whole server; evicting both
         # 12-core VMs would too but needs two preemptions.
