@@ -244,13 +244,27 @@ def cosine_row_norms(mat: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return np.maximum(np.sqrt(np.add.reduce(mat * mat, axis=1)), eps)
 
 
-def cosine_scores_by_row(
-    demand: np.ndarray, mat: np.ndarray, row_norms: np.ndarray, eps: float = 1e-12
-) -> np.ndarray:
-    """Demand half of the cosine fitness: one gemv over rows with known norms."""
+def cosine_demand_norm(demand: np.ndarray, eps: float = 1e-12) -> float:
+    """The demand's 2-norm; a zero demand has no direction to score."""
     dnorm = float(np.linalg.norm(demand))
     if dnorm < eps:
         raise PlacementError("demand vector must be non-zero")
+    return dnorm
+
+
+def cosine_scores_by_row(
+    demand: np.ndarray,
+    mat: np.ndarray,
+    row_norms: np.ndarray,
+    eps: float = 1e-12,
+    demand_norm: float | None = None,
+) -> np.ndarray:
+    """Demand half of the cosine fitness: one gemv over rows with known norms.
+
+    ``demand_norm`` is :func:`cosine_demand_norm` of ``demand`` for a caller
+    that caches it; by default it is computed here.
+    """
+    dnorm = cosine_demand_norm(demand, eps) if demand_norm is None else demand_norm
     return (mat @ demand) / (row_norms * dnorm)
 
 

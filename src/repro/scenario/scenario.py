@@ -21,6 +21,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -28,6 +30,17 @@ from repro.failures import FailureInjector, check_topology  # registers `failure
 from repro.registry import validate
 from repro.simulator.cluster_sim import ClusterSimConfig
 from repro.traces.schema import VMTraceSet
+
+
+#: Scenario fields that hold a number, and whether they may be None.
+_NUMBER_KEYS = {
+    "n_servers": True,
+    "overcommitment": True,
+    "cores_per_server": False,
+    "memory_per_server_mb": False,
+    "n_partitions": False,
+    "min_fraction": False,
+}
 
 
 @dataclass(frozen=True)
@@ -334,17 +347,36 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Scenario":
-        """Build a scenario from a plain dict, rejecting unknown keys."""
+        """Build a scenario from a plain dict, rejecting unknown keys.
+
+        A value of the wrong type raises :class:`SimulationError` naming
+        its key.
+        """
+        if not isinstance(spec, Mapping):
+            raise SimulationError(f"a scenario spec is a dict, got {type(spec).__name__}")
         known = {f.name for f in dataclasses.fields(cls)} - {"traces", "checkpoint"}
         unknown = sorted(set(spec) - known)
         if unknown:
             raise SimulationError(f"unknown scenario keys {unknown}; valid keys: {sorted(known)}")
         kwargs = dict(spec)
-        if "collectors" in kwargs:
-            kwargs["collectors"] = tuple(kwargs["collectors"])
+        collectors = kwargs.get("collectors", ())
+        if not isinstance(collectors, (list, tuple)):
+            raise SimulationError(
+                f"scenario key 'collectors' must be a list of names, got {collectors!r}"
+            )
+        kwargs["collectors"] = tuple(collectors)
         for key in ("workload", "failures", "topology"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = dict(kwargs[key])
+            value = kwargs.get(key)
+            if value is not None:
+                if not isinstance(value, Mapping):
+                    raise SimulationError(f"scenario key {key!r} must be a dict, got {value!r}")
+                kwargs[key] = dict(value)
+        for key, nullable in _NUMBER_KEYS.items():
+            value = kwargs.get(key)
+            if key not in kwargs or (value is None and nullable):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SimulationError(f"scenario key {key!r} must be a number, got {value!r}")
         return cls(**kwargs)
 
     # -- execution glue ----------------------------------------------------------

@@ -36,8 +36,8 @@ exception: when partitioning is enabled with more pools than servers, the
 instead of the lowest-index ones, so that regime intentionally diverges
 from the reference):
 
-* events are sorted once as a structured NumPy array instead of a Python
-  tuple list with a lambda key;
+* events are sorted once, by one stable ``argsort`` of their times,
+  instead of a Python tuple list with a lambda key;
 * the cluster's committed CPU is maintained as an incrementally updated
   scalar, so peak tracking no longer scans ``committed[:, 0]`` per start
   event (exact, since core counts are integers);
@@ -45,14 +45,27 @@ from the reference):
   rebuilt with ``np.arange``/``np.nonzero`` on every event;
 * ``_rebalance`` skips the per-dimension policy solves entirely when a
   server has no pressure and nothing reclaimed (the dominant case below
-  full subscription), and caches the per-server resident index/capacity
-  gathers between membership changes instead of ``np.fromiter`` per call;
+  full subscription), and caches the per-server resident inputs between
+  membership changes: one gather of the per-VM column block
+  ``_vm_block`` that ``_refresh_derived`` builds, and the reclaimed row
+  as per-dimension sequential sums (``_sequential_sum``, the order of the
+  ``sum(axis=0)`` it replaces) instead of an ``(n, 2)`` scratch matrix;
+* single server rows are updated in Python floats: ``_attach`` /
+  ``_detach`` add a VM's capacities and floors element by element, the
+  same IEEE additions as the row-vector ``+=``, and a one-row placement
+  refresh computes the availability in Python floats
+  (``_availability_row``, with ``_quotient`` reproducing NumPy's division
+  by a revoked server's zero capacity); the per-server arrays are
+  Fortran-ordered, so the fleet-wide fit tests read contiguous columns;
 * per-VM allocation histories live in growable flat arrays (one bulk append
   per rebalance) rather than per-VM tuple lists, and ``_collect`` is
-  vectorized: never-deflated VMs take closed-form fast paths, and all
-  pricing models are evaluated over the whole VM population with array ops
-  (order-preserving ``cumsum`` reductions keep float accumulation
-  bit-identical to the original per-VM loop);
+  vectorized: ``_vm_terms`` computes the terms of all VMs of one lifetime
+  from ``(k, L)`` utilisation and allocation blocks (a C-contiguous row
+  sum adds in the order of a 1-D ``.sum()``), never-deflated VMs take
+  closed-form fast paths, and all pricing models are evaluated over the
+  whole VM population with array ops (order-preserving ``cumsum``
+  reductions keep float accumulation bit-identical to the original per-VM
+  loop);
 * ``_rebalance`` solves through per-server :meth:`DeflationPolicy.
   reclaim_plan` objects cached alongside the resident gathers, so the
   priority policy's breakpoint sort is paid once per membership change,
@@ -64,7 +77,10 @@ from the reference):
   ``server_cap`` marks it dirty, so an arrival pays one gather and one
   gemv over its candidates instead of rebuilding every candidate's
   availability (``_fresh_rows``; ``tests/simulator/test_placement_rows.py``
-  checks the cache against a full recomputation after every event);
+  checks the cache against a full recomputation after every event); a
+  single dirty row goes through the scorer's ``update_row`` hook, which
+  for cosine is plain float arithmetic
+  (``tests/simulator/test_hot_path_equivalence.py`` pins its bits);
 * every departure goes through ``_handle_end_batch``; whenever no
   collector and no injector is attached, the driver hands it each
   timestamp's whole run of departures, so it rebalances each touched
@@ -103,6 +119,57 @@ from repro.traces.schema import VMTraceSet
 #: consider each VM's CPU core count and memory size").
 _DIMS = 2  # 0 = cpu cores, 1 = memory MB
 
+#: Per-VM metric terms, in :meth:`ClusterSimulator._vm_terms` order (also
+#: the streaming-compaction cache's keys).
+_TERM_NAMES = ("demanded", "lost", "deflation", "alloc_integral")
+
+#: Most series entries :meth:`ClusterSimulator._vm_terms` stacks into one
+#: block.  64 KiB blocks stay below the C allocator's default mmap
+#: threshold, so freeing them does not raise it; 512 KiB blocks added about
+#: 3.5 MB to flat-50k's peak RSS through that effect alone.
+_TERMS_BLOCK = 1 << 13
+
+
+def _quotient(a: float, b: float) -> float:
+    """``a / b`` as NumPy computes it, also for ``b == 0``.
+
+    A revoked server's capacity row is zero; NumPy yields ``±inf`` or NaN
+    there where Python raises ``ZeroDivisionError``.  The rare zero case
+    defers to NumPy's own scalar division, so even the NaN bits agree.
+    """
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / b)
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``values`` summed left to right from ``0.0``, as a Python float.
+
+    The order ``x.sum(axis=0)`` uses down the rows of a 2-D array, where a
+    1-D ``x.sum()`` is pairwise and the builtin ``sum()`` is compensated on
+    Python 3.12 and later; all three can differ in the last bit.
+    """
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def _check_server_shape(name: str, value: float) -> None:
+    """Refuse a server dimension no server can have (zero, negative, NaN, inf).
+
+    Such a shape used to replay "ok" with every VM rejected, or divide by
+    zero while sizing the cluster.
+    """
+    if not 0.0 < value < math.inf:
+        raise SimulationError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _with_row(a: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``a`` with ``row`` appended, Fortran-ordered like every server array."""
+    return np.asfortranarray(np.vstack([a, row]))
+
 
 def _both_dims(mask: np.ndarray) -> np.ndarray:
     """``mask.all(axis=1)`` for a ``(rows, _DIMS)`` mask, as two column ANDs.
@@ -138,6 +205,8 @@ class ClusterSimConfig:
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise SimulationError("need >= 1 server")
+        _check_server_shape("cores_per_server", self.cores_per_server)
+        _check_server_shape("memory_per_server_mb", self.memory_per_server_mb)
         if not (0.0 <= self.min_fraction < 1.0):
             raise SimulationError("min_fraction must be in [0, 1)")
         if self.policy != "preemption":
@@ -467,13 +536,18 @@ class ClusterSimulator:
     def _prepare_servers(self) -> None:
         cfg = self.config
         s = cfg.n_servers
-        self.server_cap = np.tile(
-            np.array([cfg.cores_per_server, cfg.memory_per_server_mb]), (s, 1)
+        # Per-server ``(s, _DIMS)`` arrays are Fortran-ordered: each
+        # dimension is one contiguous column, which halves the cost of the
+        # fleet-wide fit tests every arrival runs.  Elementwise results do
+        # not depend on the layout; whatever replaces one of these arrays
+        # (a server arrival, a snapshot restore) keeps it.
+        self.server_cap = np.asfortranarray(
+            np.tile(np.array([cfg.cores_per_server, cfg.memory_per_server_mb]), (s, 1))
         )
-        self.committed = np.zeros((s, _DIMS))
-        self.reclaimed = np.zeros((s, _DIMS))  # from deflatable VMs
-        self.defl_cap = np.zeros((s, _DIMS))  # sum of deflatable capacities
-        self.defl_floor = np.zeros((s, _DIMS))  # sum of policy floors
+        self.committed = np.zeros((s, _DIMS), order="F")
+        self.reclaimed = np.zeros((s, _DIMS), order="F")  # from deflatable VMs
+        self.defl_cap = np.zeros((s, _DIMS), order="F")  # sum of deflatable capacities
+        self.defl_floor = np.zeros((s, _DIMS), order="F")  # sum of policy floors
         # Resident sets are insertion-ordered dicts keyed by VM index: O(1)
         # removal (the old lists paid an O(n) ``list.remove`` per departure)
         # while preserving the arrival order that deterministic policies use
@@ -541,22 +615,41 @@ class ClusterSimulator:
     def _refresh_derived(self) -> None:
         """(Re)build caches derived from the per-VM arrays.
 
-        Called at construction *and* when the replay's stream opens: the blessed
-        ``engine.build()`` flow mutates ``vm_prio`` / ``vm_floor`` /
-        ``vm_caps`` on the built simulator before replaying (e.g. the
-        priority-level ablation), and these snapshots must reflect that
-        surgery exactly like the reference's live per-event reads did.
+        Called at construction, when the replay's stream opens, and by a
+        snapshot restore: the blessed ``engine.build()`` flow mutates
+        ``vm_prio`` / ``vm_floor`` / ``vm_caps`` on the built simulator
+        before replaying (e.g. the priority-level ablation), and these
+        snapshots must reflect that surgery exactly like the reference's
+        live per-event reads did.  Demand rows divide by the configured
+        server shape: a cold replay refreshes before any failure event can
+        scale or zero a server's row, so it is the same value a resumed
+        replay needs.
         """
-        # Scalar-friendly copies for the preemption inner loops (plain
-        # Python floats: the victim scan adds two numbers per resident and
-        # NumPy scalar overhead dominated it).
-        self._vm_cores_list = self.vm_caps[:, 0].tolist()
-        self._vm_mem_list = self.vm_caps[:, 1].tolist()
-        self._vm_prio_list = self.vm_prio.tolist()
+        cfg = self.config
+        caps, floor = self.vm_caps, self.vm_floor
+        # Scalar-friendly copies (plain Python floats) for _attach/_detach
+        # and the preemption victim scan, where NumPy scalar and row-ufunc
+        # overhead dominated the two adds.
+        self._vm_cores_list = caps[:, 0].tolist()
+        self._vm_mem_list = caps[:, 1].tolist()
         #: Normalized demand rows for _choose_server.
-        self._demand_norm = self.vm_caps / self.server_cap[0]
-        self._vm_caps_eps = self.vm_caps - 1e-9
-        if self.config.partitioned:
+        self._demand_norm = caps / np.array([cfg.cores_per_server, cfg.memory_per_server_mb])
+        # Each replay mode builds only the caches it reads.
+        if self._policy is None:
+            # The preemption baseline's fit test and victim order.
+            self._vm_prio_list = self.vm_prio.tolist()
+            self._vm_caps_eps = caps - 1e-9
+        else:
+            #: Per-VM columns a rebalance reads for a server's deflatable
+            #: residents, one row each: CPU and memory capacity, CPU and
+            #: memory floor, priority, and the allocation-fraction
+            #: denominator.  One gather ``_vm_block[:, idx]`` yields every
+            #: input as a contiguous row.
+            self._vm_block = np.stack(
+                [caps[:, 0], caps[:, 1], floor[:, 0], floor[:, 1], self.vm_prio,
+                 np.maximum(caps[:, 0], 1e-12)]
+            )
+        if cfg.partitioned:
             self._vm_pool = vm_pool_assignment(
                 self.vm_prio, self.vm_deflatable, list(self._pool_of_level)
             )
@@ -631,13 +724,13 @@ class ClusterSimulator:
             )
         cfg = self.config
         row = np.array([[cfg.cores_per_server, cfg.memory_per_server_mb]])
-        self.server_cap = np.vstack([self.server_cap, row])
-        self._cap_eps = np.vstack([self._cap_eps, row + 1e-9])
+        self.server_cap = _with_row(self.server_cap, row)
+        self._cap_eps = _with_row(self._cap_eps, row + 1e-9)
         zero = np.zeros((1, _DIMS))
-        self.committed = np.vstack([self.committed, zero])
-        self.reclaimed = np.vstack([self.reclaimed, zero])
-        self.defl_cap = np.vstack([self.defl_cap, zero])
-        self.defl_floor = np.vstack([self.defl_floor, zero])
+        self.committed = _with_row(self.committed, zero)
+        self.reclaimed = _with_row(self.reclaimed, zero)
+        self.defl_cap = _with_row(self.defl_cap, zero)
+        self.defl_floor = _with_row(self.defl_floor, zero)
         self.residents.append({})
         self.resident_deflatable.append({})
         self._srv_cache.append(None)
@@ -661,25 +754,22 @@ class ClusterSimulator:
         Ends before starts at the same interval (the injector's ``_END <
         _START`` codes), ties broken by VM index — the exact key the old
         Python ``events.sort(key=...)`` used, minus the per-element lambda
-        calls.  Returned as plain-list columns plus the ``cursor`` (next
-        event) and the ``at`` boundary, which is the whole resumable state
-        of the VM side of a replay.
+        calls.  One stable sort on ``t`` gives that order: the events start
+        out as every end, then every start, each run in VM order, and a
+        stable sort keeps that order among equal times (a structured-array
+        sort on ``(t, kind, vm)`` cost about ten times as much).  Returned
+        as plain-list columns plus the ``cursor`` (next event) and the
+        ``at`` boundary, which is the whole resumable state of the VM side
+        of a replay.
         """
         n = len(self.traces)
-        events = np.empty(
-            2 * n, dtype=[("t", np.float64), ("kind", np.int8), ("vm", np.int64)]
-        )
-        events["t"][:n] = self.vm_end
-        events["kind"][:n] = _END
-        events["vm"][:n] = np.arange(n)
-        events["t"][n:] = self.vm_start
-        events["kind"][n:] = _START
-        events["vm"][n:] = np.arange(n)
-        events.sort(order=("t", "kind", "vm"))
+        t = np.concatenate([self.vm_end, self.vm_start]).astype(np.float64)
+        order = np.argsort(t, kind="stable")
+        starts = order >= n
         return {
-            "t": events["t"].tolist(),
-            "kind": events["kind"].tolist(),
-            "vm": events["vm"].tolist(),
+            "t": t[order].tolist(),
+            "kind": np.where(starts, _START, _END).tolist(),
+            "vm": (order - n * starts).tolist(),
             "cursor": 0,
             "at": 0.0,
         }
@@ -792,27 +882,6 @@ class ClusterSimulator:
 
         restore_into(self, snap)
 
-    def _terms_for_vm(self, i: int, trivial: bool) -> tuple[float, float, float, float]:
-        """One VM's ``(demanded, lost, deflation, alloc_integral)`` terms.
-
-        ``trivial`` marks a VM whose history is just its admission entry
-        (fraction 1.0): never deflated nor preempted, its allocation series
-        is identically 1.0, so lost work and deflation are exactly 0.0 and
-        the allocation integral is exactly its lifetime — no series
-        reconstruction needed.  :meth:`_metric_terms` and streaming
-        compaction both call this, so finalizing a VM early yields
-        bit-identical floats to computing it at collect time.
-        """
-        util = self.traces.series(i)
-        cores = float(self.vm_caps[i, 0])
-        demanded = float(util.sum()) * cores
-        if trivial:
-            return demanded, 0.0, 0.0, float(self.vm_lifetime[i])
-        alloc = self._allocation_series(i)
-        lost = float(np.maximum(util - alloc, 0.0).sum()) * cores
-        deflation = float((1.0 - alloc).sum()) * cores
-        return demanded, lost, deflation, float(alloc.sum())
-
     def compact_history(self, before: float) -> int:
         """Finalize VMs that ended before ``before`` and drop their history.
 
@@ -848,17 +917,12 @@ class ClusterSimulator:
             self.vm_deflatable & self.vm_placed & (self.vm_end < before) & ~final["mask"]
         )[0]
         pending = self._injector._requeue_pending if self._injector is not None else None
-        for i in newly.tolist():
-            if pending and i in pending:
-                continue  # a restart is still in flight; finalize later
-            times, _ = self._history_of(i)
-            trivial = not self.vm_preempted[i] and times.size <= 1
-            d, lost, defl, alloc = self._terms_for_vm(i, trivial)
-            final["mask"][i] = True
-            final["demanded"][i] = d
-            final["lost"][i] = lost
-            final["deflation"][i] = defl
-            final["alloc_integral"][i] = alloc
+        if pending:
+            # A restart is still in flight for these; finalize them later.
+            newly = newly[[i not in pending for i in newly.tolist()]]
+        for name, values in zip(_TERM_NAMES, self._vm_terms(newly)):
+            final[name][newly] = values
+        final["mask"][newly] = True
         nh = self._hist_n
         keep = ~final["mask"][self._hist_vm[:nh]]
         kept = int(keep.sum())
@@ -924,9 +988,10 @@ class ClusterSimulator:
                 no_deflation = _both_dims(
                     self.committed[candidates] + demand <= self._cap_eps[candidates]
                 )
-            if no_deflation.all():
+            fits = np.count_nonzero(no_deflation)
+            if fits == no_deflation.size:
                 pool_idx = candidates
-            elif no_deflation.any():
+            elif fits:
                 pool_idx = candidates[no_deflation]
             else:
                 pool_idx = self._admission.feasible(self, vm, candidates)
@@ -964,9 +1029,11 @@ class ClusterSimulator:
         """
         rows = self._fresh_rows()
         if pool_idx is not self._all_servers:
-            rows = tuple([a[pool_idx] for a in rows])
+            # ``take`` copies the same rows as fancy indexing, at a fraction
+            # of its per-call cost.
+            rows = tuple([a.take(pool_idx, axis=0) for a in rows])
         scores = self._scorer.score_rows(self._demand_norm[vm], rows)
-        return int(pool_idx[int(np.argmax(scores))])
+        return int(pool_idx[int(scores.argmax())])
 
     def _fresh_rows(self) -> tuple[np.ndarray, ...]:
         """Every server's scorer row state, with the dirty rows recomputed.
@@ -975,17 +1042,15 @@ class ClusterSimulator:
         so recomputing a few of them gives the same bits as recomputing all.
         """
         rows, dirty = self._rows, self._dirty_rows
-        if rows is not None and not dirty:
+        if rows is not None and len(dirty) <= 1:
+            if dirty:
+                # The common case (one admit or departure since the last
+                # placement): one row in Python floats, through the
+                # scorer's per-row hook.
+                server = dirty.pop()
+                self._scorer.update_row(rows, server, self._availability_row(server))
             return rows
-        if rows is None:
-            idx = slice(None)
-        elif len(dirty) == 1:
-            # The common case (one admit or departure since the last
-            # placement): slice views instead of gathers and scatters.
-            server = dirty.pop()
-            idx = slice(server, server + 1)
-        else:
-            idx = np.fromiter(dirty, np.int64, len(dirty))
+        idx = slice(None) if rows is None else np.fromiter(dirty, np.int64, len(dirty))
         dirty.clear()
         if self._server_alive is None:
             state = self._scorer.row_state(self._availability(idx))
@@ -1016,6 +1081,32 @@ class ClusterSimulator:
         oc = np.maximum(com / scap, 1.0)
         return (free + headroom / oc) / scap
 
+    def _availability_row(self, server: int) -> tuple[float, float]:
+        """:meth:`_availability` of one server, in Python floats.
+
+        The same IEEE operations in the same order, so the same bits:
+        ``max(x, c)`` returns ``x`` when ``x`` is NaN, as ``np.maximum``
+        does, and :func:`_quotient` reproduces NumPy's quotient by a zero
+        capacity (a revoked server), where Python would raise.
+        """
+        com0, com1 = self.committed[server].tolist()
+        recl0, recl1 = self.reclaimed[server].tolist()
+        cap0, cap1 = self.server_cap[server].tolist()
+        free0 = max(cap0 - (com0 - recl0), 0.0)
+        free1 = max(cap1 - (com1 - recl1), 0.0)
+        if self._policy is None:
+            return _quotient(free0, cap0), _quotient(free1, cap1)
+        dc0, dc1 = self.defl_cap[server].tolist()
+        df0, df1 = self.defl_floor[server].tolist()
+        head0 = max((dc0 - recl0) - df0, 0.0)
+        head1 = max((dc1 - recl1) - df1, 0.0)
+        oc0 = max(_quotient(com0, cap0), 1.0)
+        oc1 = max(_quotient(com1, cap1), 1.0)
+        return (
+            _quotient(free0 + head0 / oc0, cap0),
+            _quotient(free1 + head1 / oc1, cap1),
+        )
+
     def _admit(self, t: float, vm: int, server: int) -> None:
         self.vm_placed[vm] = True
         self._attach(vm, server)
@@ -1040,15 +1131,24 @@ class ClusterSimulator:
         updates of a placement; the failure injector calls this directly
         to put back a drain migration that found no destination.
         """
-        self.committed[server] += self.vm_caps[vm]
+        # Element-wise adds of the two row entries: the same IEEE
+        # additions as the row-vector ``+=``, without its ufunc dispatch.
+        c0, c1 = self._vm_cores_list[vm], self._vm_mem_list[vm]
+        com = self.committed
+        com[server, 0] += c0
+        com[server, 1] += c1
         self._dirty_rows.add(server)
-        self._committed_cores += float(self.vm_caps[vm, 0])
+        self._committed_cores += c0
         self.residents[server][vm] = None
         self.vm_server[vm] = server
         if self.vm_deflatable[vm]:
             self.resident_deflatable[server][vm] = None
-            self.defl_cap[server] += self.vm_caps[vm]
-            self.defl_floor[server] += self.vm_floor[vm]
+            f0, f1 = self.vm_floor[vm].tolist()
+            dcap, dfloor = self.defl_cap, self.defl_floor
+            dcap[server, 0] += c0
+            dcap[server, 1] += c1
+            dfloor[server, 0] += f0
+            dfloor[server, 1] += f1
             self._srv_cache[server] = None
             self._srv_victims[server] = None
 
@@ -1058,14 +1158,21 @@ class ClusterSimulator:
         Shared by normal departures, preemptions, and failure-injected
         evacuations/kills; the caller decides what the removal *means*.
         """
-        self.committed[server] -= self.vm_caps[vm]
+        c0, c1 = self._vm_cores_list[vm], self._vm_mem_list[vm]
+        com = self.committed
+        com[server, 0] -= c0
+        com[server, 1] -= c1
         self._dirty_rows.add(server)
-        self._committed_cores -= float(self.vm_caps[vm, 0])
+        self._committed_cores -= c0
         del self.residents[server][vm]
         if self.vm_deflatable[vm]:
             del self.resident_deflatable[server][vm]
-            self.defl_cap[server] -= self.vm_caps[vm]
-            self.defl_floor[server] -= self.vm_floor[vm]
+            f0, f1 = self.vm_floor[vm].tolist()
+            dcap, dfloor = self.defl_cap, self.defl_floor
+            dcap[server, 0] -= c0
+            dcap[server, 1] -= c1
+            dfloor[server, 0] -= f0
+            dfloor[server, 1] -= f1
             self._srv_cache[server] = None
             self._srv_victims[server] = None
 
@@ -1134,35 +1241,31 @@ class ClusterSimulator:
             self.reclaimed[server] = 0.0
             self._dirty_rows.add(server)
             return
-        committed = self.committed[server]
-        r0 = committed[0] - self.server_cap[server, 0]
-        r1 = committed[1] - self.server_cap[server, 1]
+        com0, com1 = self.committed[server].tolist()
+        cap0, cap1 = self.server_cap[server].tolist()
+        required = (com0 - cap0, com1 - cap1)
+        reclaimed = self.reclaimed
+        rec0, rec1 = reclaimed[server].tolist()
         # Fast path: no pressure and nothing reclaimed.  The policy solves
         # would return all-zero reclaims with every resident at its last
         # recorded full allocation (the ``reclaimed == 0`` invariant implies
         # every resident's last recorded fraction is 1.0), so the whole
         # per-dimension evaluation is a no-op; only observers run.
-        if (
-            r0 <= 0.0
-            and r1 <= 0.0
-            and self.reclaimed[server, 0] == 0.0
-            and self.reclaimed[server, 1] == 0.0
-        ):
+        if required[0] <= 0.0 and required[1] <= 0.0 and rec0 == 0.0 and rec1 == 0.0:
             for c in self._collectors:
                 c.on_rebalance(t, server, self)
             return
-        required = (r0, r1)
         cache = self._srv_cache[server]
         if cache is None:
             idx = np.fromiter(defl, dtype=np.int64, count=len(defl))
-            caps = self.vm_caps[idx]
+            # One gather of every per-VM input; each row is contiguous.
+            caps0, caps1, floor0, floor1, prios, frac_denom = self._vm_block[:, idx]
             cache = (
                 idx,
-                # Contiguous per-dimension columns for the policy solves.
-                (caps[:, 0].copy(), caps[:, 1].copy()),
-                (self.vm_floor[idx, 0], self.vm_floor[idx, 1]),
-                self.vm_prio[idx],
-                np.maximum(caps[:, 0], 1e-12),  # frac denominator
+                (caps0, caps1),
+                (floor0, floor1),
+                prios,
+                frac_denom,
                 # Per-dimension reclaim plans, built lazily on first solve:
                 # the plan hoists membership-dependent work (the priority
                 # policy's breakpoint sort) out of the rebalance storm, and
@@ -1173,14 +1276,15 @@ class ClusterSimulator:
             )
             self._srv_cache[server] = cache
         idx, caps_dim, floors_dim, prios, frac_denom, plans = cache
-        new_reclaimed = np.zeros((idx.size, _DIMS))
+        cpu_reclaim = None
         unsatisfied = False
         for r in range(_DIMS):
-            req = float(required[r])
+            req = required[r]
             if req <= 0.0:
                 # The policy short-circuits required <= 0 into an all-zero,
-                # satisfied reclaim; keep the zero rows without paying its
+                # satisfied reclaim; reclaim nothing without paying its
                 # input validation (typically the memory dimension).
+                reclaimed[server, r] = 0.0
                 continue
             solve = plans[r]
             if solve is None:
@@ -1188,19 +1292,23 @@ class ClusterSimulator:
                     caps_dim[r], floors_dim[r], prios
                 )
             result = solve(req)
-            new_reclaimed[:, r] = result.reclaimed
+            reclaimed[server, r] = _sequential_sum(result.reclaimed)
+            if r == 0:
+                cpu_reclaim = result.reclaimed
             if not result.satisfied:
                 unsatisfied = True
-        self.reclaimed[server] = new_reclaimed.sum(axis=0)
         self._dirty_rows.add(server)
         if unsatisfied:
             # Should not happen (feasibility was checked at admission), but a
             # departure race could in principle expose it; count it.
             self.vm_reclaim_failure[idx] = True
         # Record CPU allocation fraction changes (bulk append).
-        frac = 1.0 - new_reclaimed[:, 0] / frac_denom
+        if cpu_reclaim is None:
+            frac = np.ones(idx.size)
+        else:
+            frac = 1.0 - cpu_reclaim / frac_denom
         changed = np.abs(frac - self._last_frac[idx]) > 1e-9
-        if changed.any():
+        if np.count_nonzero(changed):
             sel = idx[changed]
             fsel = frac[changed]
             self._append_history_bulk(sel, t, fsel)
@@ -1211,14 +1319,14 @@ class ClusterSimulator:
     # -- preemption baseline ---------------------------------------------------------
 
     def _place_preemption(self, t: float, vm: int, candidates: np.ndarray) -> bool:
-        demand = self.vm_caps[vm]
         if candidates is self._all_servers:
             free = self.server_cap - self.committed
         else:
             free = self.server_cap[candidates] - self.committed[candidates]
         fits = _both_dims(free >= self._vm_caps_eps[vm])
-        fit_idx = candidates if fits.all() else candidates[fits]
-        if fit_idx.size > 0:
+        n_fit = np.count_nonzero(fits)
+        if n_fit:
+            fit_idx = candidates if n_fit == fits.size else candidates[fits]
             self._admit(t, vm, self._choose_server(vm, fit_idx))
             return True
         if self.vm_deflatable[vm]:
@@ -1228,7 +1336,7 @@ class ClusterSimulator:
         # first, on the server needing the fewest preemptions.  Plans longer
         # than the best one found so far can never win (strictly-fewer
         # tie-breaking), so later servers abandon their scans early.
-        d0, d1 = float(demand[0]), float(demand[1])
+        d0, d1 = self._vm_cores_list[vm], self._vm_mem_list[vm]
         best_server, best_victims = -1, None
         limit = None
         for s in candidates.tolist():
@@ -1355,19 +1463,80 @@ class ClusterSimulator:
     # -- metrics -----------------------------------------------------------------------
 
     def _allocation_series(self, vm: int) -> np.ndarray:
-        """Per-interval CPU allocation fraction over the VM's lifetime.
+        """Per-interval CPU allocation fraction over one VM's lifetime."""
+        return self._allocation_block(np.array([vm]), int(self.vm_lifetime[vm]))[0]
 
-        Every early end of a deflatable VM appends a ``(t, 0.0)`` history
-        row, so the lookup reads 0.0 at every grid point from ``t`` on.
+    def _allocation_block(self, vms: np.ndarray, length: int) -> np.ndarray:
+        """Allocation series of VMs ``vms``, each ``length`` intervals long.
+
+        Row ``j`` holds, at every grid point ``g``, the fraction of the
+        last history row of ``vms[j]`` with ``t - start <= g`` (1.0 before
+        the first).  Every early end of a deflatable VM appends a
+        ``(t, 0.0)`` history row, so the row reads 0.0 from ``t`` on.
+
+        One ``searchsorted`` serves every row: a history row is keyed by
+        its VM's position ``j`` and by ``ceil(t - start)`` (for an integer
+        ``g``, ``t - start <= g`` exactly when ``ceil(t - start) <= g``),
+        and grid point ``g`` of row ``j`` by ``(j, g)``.
         """
-        lifetime = int(self.vm_lifetime[vm])
-        times, fracs = self._history_of(vm)
-        if times.size == 0:
-            return np.ones(lifetime)
-        times = times - self.vm_start[vm]
-        grid = np.arange(lifetime, dtype=np.float64)
-        pos = np.searchsorted(times, grid, side="right") - 1
-        return np.where(pos >= 0, fracs[np.clip(pos, 0, len(fracs) - 1)], 1.0)
+        svm, st, sf = self._history_arrays()
+        lo = np.searchsorted(svm, vms, side="left")
+        counts = np.searchsorted(svm, vms, side="right") - lo
+        if not counts.any():
+            return np.ones((vms.size, length))
+        first = np.cumsum(counts) - counts  # each VM's first row in `rows`
+        owner = np.repeat(np.arange(vms.size), counts)
+        rows = np.repeat(lo - first, counts) + np.arange(owner.size)
+        rel = st[rows] - self.vm_start[vms][owner]
+        width = length + 2  # key offsets 0 ..= length + 1 within one VM
+        keys = owner * width + np.clip(np.ceil(rel), -1, length).astype(np.int64) + 1
+        grid = (np.arange(vms.size) * width)[:, None] + np.arange(1, length + 1)
+        pos = np.searchsorted(keys, grid, side="right") - 1
+        return np.where(pos >= first[:, None], sf[rows][np.maximum(pos, 0)], 1.0)
+
+    def _vm_terms(self, vms: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Metric terms of placed deflatable VMs ``vms``, one array each.
+
+        ``(demanded, lost, deflation, alloc_integral)``, in
+        ``_TERM_NAMES`` order.  The VMs of one lifetime ``L`` stack their
+        utilisation and allocation series into ``(k, L)`` blocks, at most
+        ``_TERMS_BLOCK`` entries at a time; a C-contiguous row sum adds in
+        the order of the 1-D ``.sum()`` of one series, so every term has
+        the bits a per-VM computation gives.  A VM never preempted whose
+        history is just its admission entry has an allocation series of
+        all ones: its lost work and deflation are exactly 0.0 and its
+        allocation integral is its lifetime, with no series built.
+        :meth:`_metric_terms` and streaming compaction both call this, so
+        finalizing a VM early yields the floats collecting it would.
+        """
+        k = vms.size
+        demanded, alloc_integral = np.empty(k), np.empty(k)
+        lost, deflation = np.zeros(k), np.zeros(k)
+        svm, _, _ = self._history_arrays()
+        hist_len = np.searchsorted(svm, vms, side="right") - np.searchsorted(svm, vms, side="left")
+        deep = self.vm_preempted[vms] | (hist_len > 1)
+        cores = self.vm_caps[vms, 0]
+        lifetimes = self.vm_lifetime[vms]
+        order = np.argsort(lifetimes, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(lifetimes[order])) + 1):
+            if not group.size:
+                continue
+            length = int(lifetimes[group[0]])
+            step = max(1, _TERMS_BLOCK // max(length, 1))
+            for start in range(0, group.size, step):
+                rows = group[start : start + step]
+                util = self.traces.block(vms[rows], length)
+                demanded[rows] = util.sum(axis=1) * cores[rows]
+                alloc_integral[rows] = float(length)
+                sub = deep[rows]
+                if not sub.any():
+                    continue
+                rows = rows[sub]
+                alloc = self._allocation_block(vms[rows], length)
+                lost[rows] = np.maximum(util[sub] - alloc, 0.0).sum(axis=1) * cores[rows]
+                deflation[rows] = (1.0 - alloc).sum(axis=1) * cores[rows]
+                alloc_integral[rows] = alloc.sum(axis=1)
+        return demanded, lost, deflation, alloc_integral
 
     def _metric_terms(self) -> "VMMetricTerms":
         """Per-VM metric terms over the deflatable placed population.
@@ -1378,54 +1547,31 @@ class ClusterSimulator:
         reductions :meth:`_collect` applies to them.
         """
         sel = np.nonzero(self.vm_deflatable & self.vm_placed)[0]
-
-        # Per-VM metric terms, later reduced with cumsum (sequential, so the
-        # float accumulation order matches the original per-VM `+=` loop).
-        demanded_t = np.zeros(sel.size)
-        lost_t = np.zeros(sel.size)
-        deflation_t = np.zeros(sel.size)
-        alloc_integral = np.zeros(sel.size)
-        cores_sel = self.vm_caps[sel, 0] if sel.size else np.zeros(0)
-        lifetime_sel = self.vm_lifetime[sel].astype(np.float64)
-
-        # Never-deflated VMs (see _terms_for_vm), found for the whole
-        # population at once rather than one history lookup per VM.
-        if sel.size:
-            svm, _, _ = self._history_arrays()
-            hist_len = np.searchsorted(svm, sel, side="right") - np.searchsorted(
-                svm, sel, side="left"
-            )
-            trivial = ~self.vm_preempted[sel] & (hist_len <= 1)
-        else:
-            trivial = np.zeros(0, dtype=bool)
-
         final = self._final_terms
-        for k, i in enumerate(sel.tolist()):
-            if final is not None and final["mask"][i]:
-                # Finalized during streaming compaction (its history rows
-                # are gone); serve the cached terms back verbatim.
-                demanded_t[k] = final["demanded"][i]
-                lost_t[k] = final["lost"][i]
-                deflation_t[k] = final["deflation"][i]
-                alloc_integral[k] = final["alloc_integral"][i]
-                continue
-            demanded_t[k], lost_t[k], deflation_t[k], alloc_integral[k] = (
-                self._terms_for_vm(i, trivial[k])
-            )
-
+        if final is None:
+            columns = self._vm_terms(sel)
+        else:
+            # VMs finalized during streaming compaction (their history rows
+            # are gone) serve the cached terms back verbatim.
+            done = final["mask"][sel]
+            columns = []
+            for name, values in zip(_TERM_NAMES, self._vm_terms(sel[~done])):
+                column = final[name][sel]
+                column[~done] = values
+                columns.append(column)
+        demanded_t, lost_t, deflation_t, alloc_integral = columns
         # Bill at the priority snapshotted at construction, exactly as the
         # reference does — post-build surgery on vm_prio affects deflation
         # decisions, not the agreed price.
-        prio_sel = self.vm_bill_prio[sel]
         return VMMetricTerms(
             sel=sel,
             demanded=demanded_t,
             lost=lost_t,
             deflation=deflation_t,
             alloc_integral=alloc_integral,
-            cores=cores_sel,
-            lifetimes=lifetime_sel,
-            priorities=prio_sel,
+            cores=self.vm_caps[sel, 0],
+            lifetimes=self.vm_lifetime[sel].astype(np.float64),
+            priorities=self.vm_bill_prio[sel],
         )
 
     def _collect(self) -> ClusterSimResult:
@@ -1486,6 +1632,7 @@ def servers_for_overcommitment(
         raise SimulationError(
             f"overcommitment must be a finite number >= 0, got {overcommitment!r}"
         )
+    _check_server_shape("cores_per_server", cores_per_server)
     # Integer core counts: the float sums are exact in any order.
     size = traces.horizon() + 1
     ends = traces.start_interval + traces.lifetimes

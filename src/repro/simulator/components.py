@@ -24,10 +24,11 @@ Components receive the simulator itself and read its documented array state
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
-from repro.core.placement import cosine_row_norms, cosine_scores_by_row
+from repro.core.placement import cosine_demand_norm, cosine_row_norms, cosine_scores_by_row
 from repro.core.resources import NUM_RESOURCES
 from repro.errors import SimulationError
 from repro.failures.injector import _ARRIVAL, _DEADLINE, _DIP_END, _DIP_START, _REVOKE
@@ -79,7 +80,9 @@ class DeflationAwareAdmission(AdmissionController):
                 sim.defl_cap[candidates] - sim.defl_floor[candidates] + extra_pool
             )
             overflow = sim.committed[candidates] + demand - sim.server_cap[candidates]
-        return candidates[(overflow <= reclaimable + _EPS).all(axis=1)]
+        fits = overflow <= reclaimable + _EPS
+        # ``fits.all(axis=1)`` over the two dimensions, as one column AND.
+        return candidates[fits[:, 0] & fits[:, 1]]
 
 
 @register("admission", "rigid")
@@ -108,10 +111,11 @@ class PlacementScorer(abc.ABC):
     """Scores candidate servers; the simulator picks the argmax.
 
     A plug-in defines :meth:`score`.  The simulator calls it through the
-    per-row hook :meth:`row_state` / :meth:`score_rows`, whose defaults
-    pass the availability rows straight to :meth:`score`; a scorer with
-    per-row work of its own (cosine's row norms) overrides the pair so
-    that work is cached per server instead of redone per arrival.
+    per-row hooks :meth:`row_state` / :meth:`update_row` /
+    :meth:`score_rows`, whose defaults pass the availability rows straight
+    to :meth:`score`; a scorer with per-row work of its own (cosine's row
+    norms) overrides them so that work is cached per server instead of
+    redone per arrival.
     """
 
     name: str = "abstract"
@@ -136,6 +140,18 @@ class PlacementScorer(abc.ABC):
         """
         return (avail_norm,)
 
+    def update_row(self, state: tuple[np.ndarray, ...], i: int, avail: tuple[float, ...]) -> None:
+        """Rewrite row ``i`` of a :meth:`row_state` result in place.
+
+        ``avail`` is that row's availability, one Python float per
+        dimension.  The simulator calls this when a single server changed
+        since the last placement.  The default writes :meth:`row_state`
+        of the one-row matrix, so no scorer needs to override it; an
+        override must give the same bits as the default.
+        """
+        for cached, fresh in zip(state, self.row_state(np.array([avail]))):
+            cached[i] = fresh[0]
+
     def score_rows(self, demand_norm: np.ndarray, state: tuple[np.ndarray, ...]) -> np.ndarray:
         """:meth:`score` over the rows of a :meth:`row_state` result."""
         return self.score(demand_norm, *state)
@@ -155,21 +171,36 @@ class CosineScorer(PlacementScorer):
     name = "cosine"
 
     def __init__(self) -> None:
-        # Reused demand padding buffer (scoring runs once per arrival).
-        # The padded layout itself is kept — BLAS results are bit-sensitive
-        # to the operand width, and the golden tests pin the padded scores.
-        self._demand_buf = np.zeros(NUM_RESOURCES)
+        #: Padded demand and its norm, by the demand row's bytes: a trace
+        #: has a handful of VM shapes, and every arrival of one shape
+        #: scores the same vector.  The padded layout itself is kept —
+        #: BLAS results are bit-sensitive to the operand width, and the
+        #: golden tests pin the padded scores.
+        self._demands: dict[bytes, tuple[np.ndarray, float]] = {}
 
     def row_state(self, avail_norm):
         mat = np.zeros((avail_norm.shape[0], NUM_RESOURCES))
         mat[:, : avail_norm.shape[1]] = avail_norm
         return mat, cosine_row_norms(mat)
 
+    def update_row(self, state, i, avail):
+        # The padded row's other entries stay zero, and ``np.add.reduce``
+        # over a 4-wide row adds in order, so this is cosine_row_norms' value.
+        mat, norms = state
+        a0, a1 = avail
+        mat[i, 0] = a0
+        mat[i, 1] = a1
+        norms[i] = max(math.sqrt(a0 * a0 + a1 * a1), 1e-12)
+
     def score_rows(self, demand_norm, state):
-        demand_full = self._demand_buf
-        demand_full[:] = 0.0
-        demand_full[: demand_norm.shape[0]] = demand_norm
-        return cosine_scores_by_row(demand_full, *state)
+        key = demand_norm.tobytes()
+        demand = self._demands.get(key)
+        if demand is None:
+            padded = np.zeros(NUM_RESOURCES)
+            padded[: demand_norm.shape[0]] = demand_norm
+            demand = self._demands[key] = (padded, cosine_demand_norm(padded))
+        padded, dnorm = demand
+        return cosine_scores_by_row(padded, *state, demand_norm=dnorm)
 
     def score(self, demand_norm, avail_norm):
         return self.score_rows(demand_norm, self.row_state(avail_norm))

@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.failures.injector import FailureInjector
-from repro.simulator.cluster_sim import vm_pool_assignment
 
 #: Bump on any layout or model change; a snapshot from another version is
 #: refused, never misread.  v2: the stream is the VM cursor alone (the peak
@@ -267,7 +266,8 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     for name in _VM_ARRAYS:
         setattr(sim, name, st[name].copy())
     for name in _SERVER_ARRAYS:
-        setattr(sim, name, st[name].copy())
+        # Fortran-ordered, the layout the simulator builds them in.
+        setattr(sim, name, np.array(st[name], order="F"))
     sim._last_frac = st["last_frac"].copy()
     s = len(st["residents"])
     sim.residents = [dict.fromkeys(r) for r in st["residents"]]
@@ -300,25 +300,12 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     sim._hist_n = nh
     final = st["final_terms"]
     sim._final_terms = None if final is None else {k: v.copy() for k, v in final.items()}
-    cfg = sim.config
-    if cfg.partitioned:
+    if sim.config.partitioned:
         sim._pool_members = [m.copy() for m in st["pool_members"]]
 
-    # Derived per-VM caches, exactly as ``_refresh_derived`` builds them at
-    # the top of a cold ``run()`` — except ``_demand_norm`` divides by the
-    # *nominal* server shape rather than live row 0, which a revocation or
-    # dip in the prefix may have zeroed or scaled.  A cold run computes it
-    # from the pristine row before any failure event fires, so the nominal
-    # shape is the bit-identical value.
-    sim._vm_cores_list = sim.vm_caps[:, 0].tolist()
-    sim._vm_mem_list = sim.vm_caps[:, 1].tolist()
-    sim._vm_prio_list = sim.vm_prio.tolist()
-    sim._demand_norm = sim.vm_caps / np.array([cfg.cores_per_server, cfg.memory_per_server_mb])
-    sim._vm_caps_eps = sim.vm_caps - 1e-9
-    if cfg.partitioned:
-        sim._vm_pool = vm_pool_assignment(
-            sim.vm_prio, sim.vm_deflatable, list(sim._pool_of_level)
-        )
+    # Derived per-VM caches from the restored arrays, by the builder a
+    # cold replay uses when its stream opens.
+    sim._refresh_derived()
 
     # Collectors: positional restore against the configured set.
     names = tuple(c.name for c in sim._collectors)

@@ -372,6 +372,14 @@ class VMTraceSet:
         """Row ``i``'s CPU-utilisation series: a read-only view."""
         return self._buf[self._lo[i] : self._hi[i]]
 
+    def block(self, rows: np.ndarray, length: int) -> np.ndarray:
+        """The series of ``rows``, each ``length`` long, as one matrix.
+
+        A C-contiguous ``(len(rows), length)`` copy, so a row sums in the
+        same order as the 1-D :meth:`series` of that VM.
+        """
+        return self._buf[self._lo[rows, None] + np.arange(length)]
+
     @property
     def lifetimes(self) -> np.ndarray:
         """Per-VM series length in intervals (int64)."""

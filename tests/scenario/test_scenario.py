@@ -103,6 +103,28 @@ class TestDictRoundTrip:
         with pytest.raises(SimulationError, match="unknown scenario keys"):
             Scenario.from_dict({"polcy": "priority"})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workload", 5),
+            ("failures", [1, 2]),
+            ("topology", "racks"),
+            ("collectors", 7),
+            ("overcommitment", "x"),
+            ("n_servers", "4"),
+            ("cores_per_server", None),
+            ("min_fraction", True),
+        ],
+    )
+    def test_from_dict_wrong_types_name_the_key(self, key, value):
+        # These raised bare TypeErrors (from dict(), tuple() or a <=).
+        with pytest.raises(SimulationError, match=key):
+            Scenario.from_dict({key: value})
+
+    def test_from_dict_rejects_a_non_dict(self):
+        with pytest.raises(SimulationError, match="dict"):
+            Scenario.from_dict(["policy", "priority"])
+
     def test_workload_spec_requires_source(self):
         with pytest.raises(SimulationError, match="source"):
             Scenario.from_dict({"workload": {"n_vms": 10}})

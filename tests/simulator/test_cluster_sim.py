@@ -64,6 +64,13 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             ClusterSimulator(VMTraceSet([]), ClusterSimConfig(n_servers=1))
 
+    @pytest.mark.parametrize("field", ["cores_per_server", "memory_per_server_mb"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_impossible_server_shape_rejected(self, field, value):
+        # Such shapes used to replay "ok" with every VM rejected.
+        with pytest.raises(SimulationError, match=field):
+            ClusterSimConfig(n_servers=1, **{field: value})
+
 
 class TestSmallScenarios:
     def test_no_pressure_no_deflation(self):
@@ -226,6 +233,13 @@ class TestServersForOvercommitment:
         # math.ceil with an untyped error.
         with pytest.raises(SimulationError, match="finite"):
             servers_for_overcommitment(azure_trace, oc)
+
+    @pytest.mark.parametrize("cores", [0.0, -1.0, math.nan, math.inf])
+    def test_impossible_server_cores_rejected(self, azure_trace, cores):
+        # 0.0 died with a bare ZeroDivisionError; -1.0 and nan sized a
+        # cluster that could place nothing.
+        with pytest.raises(SimulationError, match="cores_per_server"):
+            servers_for_overcommitment(azure_trace, 0.3, cores_per_server=cores)
 
 
 class TestRunIsIdempotent:
