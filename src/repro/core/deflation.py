@@ -30,16 +30,16 @@ verbatim in :mod:`repro.core.waterfill_reference` and
 ``tests/core/test_waterfill_equivalence.py`` holds the two within 1e-9
 (see docs/performance.md, "Deliberate numerical changes").
 
-Policies also expose :meth:`DeflationPolicy.reclaim_plan`: a reusable
-solver over a fixed (capacities, minimums, priorities) pool.  The cluster
-simulator rebalances the same server membership many times with only the
-required amount changing, so the priority policy hoists its breakpoint
-sort into the plan and answers each solve in O(n).
+Every caller solves through :meth:`DeflationPolicy.reclaim_plan`: a
+reusable solver over a fixed (capacities, minimums, priorities) pool, which
+:meth:`~DeflationPolicy.target_allocations` builds once per call.  The
+cluster simulator rebalances the same server membership many times with
+only the required amount changing, so the priority policy hoists its
+breakpoint sort into the plan and answers each solve in O(n).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,7 @@ def _validate_inputs(
         raise DeflationError("minimums must satisfy 0 <= m_i <= M_i")
     if (prios <= 0.0).any() or (prios > 1.0).any():
         raise DeflationError("priorities must be in (0, 1]")
-    return caps, np.minimum(mins, caps), prios
+    return caps, mins, prios
 
 
 class _WaterfillPlan:
@@ -218,19 +218,31 @@ class DeflationResult:
         return float(self.reclaimed.sum())
 
 
-class DeflationPolicy(abc.ABC):
-    """Common interface for the server-level deflation policies."""
+class DeflationPolicy:
+    """Common interface for the server-level deflation policies.
+
+    Every caller solves through :meth:`reclaim_plan`.  A policy implements
+    :meth:`_solve`, which the default plan binds, or overrides
+    :meth:`reclaim_plan` to hoist membership-dependent work out of repeated
+    solves; :meth:`floors` bounds how far each VM may be deflated.
+    """
 
     #: Short machine-readable name, used by experiment harnesses.
     name: str = "abstract"
 
-    @abc.abstractmethod
+    def floors(
+        self, capacities: np.ndarray, minimums: np.ndarray, priorities: np.ndarray
+    ) -> np.ndarray:
+        """Per-VM allocation floor; the default is the minimum ``m_i``."""
+        return minimums
+
     def max_reclaimable(
         self, capacities: np.ndarray, minimums: np.ndarray, priorities: np.ndarray
     ) -> float:
         """Upper bound of what this policy can reclaim from the given pool."""
+        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
+        return float((caps - self.floors(caps, np.minimum(mins, caps), prios)).sum())
 
-    @abc.abstractmethod
     def target_allocations(
         self,
         capacities: np.ndarray,
@@ -244,50 +256,36 @@ class DeflationPolicy(abc.ABC):
         (this is how reinflation is expressed).  If the pool cannot yield
         ``required`` even at maximum deflation, the policy deflates maximally
         and flags ``satisfied=False`` — the caller (cluster manager) treats
-        that as a reclamation failure (Figure 20).
+        that as a reclamation failure (Figure 20).  Validates its inputs,
+        then solves through a one-shot :meth:`reclaim_plan`.
         """
-
-    def target_allocations_trusted(
-        self,
-        capacities: np.ndarray,
-        minimums: np.ndarray,
-        priorities: np.ndarray,
-        required: float,
-    ) -> DeflationResult:
-        """:meth:`target_allocations` for inputs the caller has validated.
-
-        The cluster simulator evaluates policies tens of thousands of times
-        per replay on per-server arrays it constructed itself (always valid
-        float64, ``0 <= m_i <= M_i``, ``0 < pi_i <= 1``); re-validating them
-        on every call dominated the solve cost.  The default delegates to
-        :meth:`target_allocations`, so third-party policies keep working
-        unchanged; the built-in policies override this to run the identical
-        math without the checks — results are bit-for-bit the same.  A new
-        policy may do the same, but only for inputs it is certain the
-        simulator pre-validated: :meth:`target_allocations` remains the
-        documented hook, and overrides of it are never bypassed (the
-        built-ins guard with an exact ``type(self)`` check).
-        """
-        return self.target_allocations(capacities, minimums, priorities, required)
+        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
+        return self.reclaim_plan(caps, mins, prios)(required)
 
     def reclaim_plan(self, capacities, minimums, priorities):
         """Reusable solver over one fixed, pre-validated pool.
 
-        Returns ``solve(required) -> DeflationResult``, bit-identical to
-        calling :meth:`target_allocations_trusted` with the same inputs.
-        The cluster simulator rebalances the same server membership many
-        times with only ``required`` changing (on-demand churn around a
-        stable deflatable set), so a plan lets a policy hoist
-        membership-dependent work — the priority policy's breakpoint sort —
-        out of that loop.  The default simply closes over the trusted entry,
-        so third-party policies keep working unchanged.  Callers must not
-        mutate the arrays while the plan is live.
+        Returns ``solve(required) -> DeflationResult``.  The cluster
+        simulator builds one plan per server pool from arrays it constructed
+        itself (valid float64, ``0 <= m_i <= M_i``, ``0 < pi_i <= 1``) and
+        solves it many times with only ``required`` changing; callers must
+        not mutate the arrays while the plan is live.  The default binds
+        :meth:`_solve`.
         """
+        mins = np.minimum(minimums, capacities)
 
         def solve(required: float) -> DeflationResult:
-            return self.target_allocations_trusted(capacities, minimums, priorities, required)
+            return self._solve(capacities, mins, priorities, required)
 
         return solve
+
+    def _solve(
+        self, caps: np.ndarray, mins: np.ndarray, prios: np.ndarray, required: float
+    ) -> DeflationResult:
+        """One solve over validated inputs with ``mins <= caps``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _solve or reclaim_plan"
+        )
 
     # Convenience wrapper shared by all policies.
     def _finalize(
@@ -309,23 +307,8 @@ class ProportionalPolicy(DeflationPolicy):
 
     name = "proportional"
 
-    def max_reclaimable(self, capacities, minimums, priorities) -> float:
-        caps, mins, _ = _validate_inputs(capacities, minimums, priorities)
-        return float((caps - mins).sum())
-
-    def target_allocations(self, capacities, minimums, priorities, required) -> DeflationResult:
-        caps, mins, _ = _validate_inputs(capacities, minimums, priorities)
-        return self._compute(caps, mins, required)
-
-    def target_allocations_trusted(self, capacities, minimums, priorities, required):
-        # Exact type check: a subclass overriding target_allocations (the
-        # documented hook) must not be silently bypassed by the fast entry.
-        if type(self) is not ProportionalPolicy:
-            return self.target_allocations(capacities, minimums, priorities, required)
-        return self._compute(capacities, np.minimum(minimums, capacities), required)
-
-    def _compute(self, caps, mins, required) -> DeflationResult:
-        pool = caps - mins
+    def _solve(self, caps, mins, prios, required) -> DeflationResult:
+        pool = caps - self.floors(caps, mins, prios)
         if required <= _TOL or caps.size == 0:
             return self._finalize(caps, np.zeros_like(caps), max(required, 0.0))
         total = float(pool.sum())
@@ -354,73 +337,37 @@ class PriorityPolicy(DeflationPolicy):
         #: when False (Eq. 3) only user-provided minimums apply.
         self.priority_floor = priority_floor
 
-    def _effective_min(self, caps: np.ndarray, mins: np.ndarray, prios: np.ndarray) -> np.ndarray:
+    def floors(self, capacities, minimums, priorities) -> np.ndarray:
         if self.priority_floor:
-            return np.maximum(mins, prios * caps)
-        return mins
-
-    def max_reclaimable(self, capacities, minimums, priorities) -> float:
-        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        eff_min = self._effective_min(caps, mins, prios)
-        return float((caps - eff_min).sum())
-
-    def target_allocations(self, capacities, minimums, priorities, required) -> DeflationResult:
-        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        return self._compute(caps, mins, prios, required)
-
-    def target_allocations_trusted(self, capacities, minimums, priorities, required):
-        # Exact type check: a subclass overriding target_allocations (the
-        # documented hook) must not be silently bypassed by the fast entry.
-        if type(self) is not PriorityPolicy:
-            return self.target_allocations(capacities, minimums, priorities, required)
-        return self._compute(
-            capacities, np.minimum(minimums, capacities), priorities, required
-        )
+            return np.maximum(minimums, priorities * capacities)
+        return minimums
 
     def reclaim_plan(self, capacities, minimums, priorities):
-        # Exact type check, same discipline as target_allocations_trusted:
-        # a subclass overriding target_allocations (or _compute) must not be
-        # silently bypassed by the cached fast path.
-        if type(self) is not PriorityPolicy:
-            return super().reclaim_plan(capacities, minimums, priorities)
         caps = capacities
-        mins = np.minimum(minimums, capacities)
-        eff_min = self._effective_min(caps, mins, priorities)
-        pool = caps - eff_min
+        pool = caps - self.floors(caps, np.minimum(minimums, caps), priorities)
         total = float(pool.sum())
-        # Guard order and tolerances below mirror _compute exactly, and the
-        # plan's own entry guards are no-ops behind them, so the cached path
-        # is bit-for-bit the one-shot path.
-        plan = _WaterfillPlan(pool, priorities * pool, pool) if total > _TOL else None
+        # The water-fill (and its breakpoint sort) is built on the first
+        # interior solve, so a one-shot target_allocations pays for it only
+        # when the guards below do not answer first.
+        plan: _WaterfillPlan | None = None
 
         def solve(required: float) -> DeflationResult:
+            nonlocal plan
             if required <= _TOL or caps.size == 0:
                 return self._finalize(caps, np.zeros_like(caps), max(required, 0.0))
             if total <= _TOL:
                 return self._finalize(caps, np.zeros_like(caps), required)
             if required >= total - _TOL:
                 return self._finalize(caps, pool, required)
+            if plan is None:
+                # Weight the *retained* share by pi, so low-priority VMs
+                # receive more reclaim: x_i(alpha) = pool_i - alpha * pi_i
+                # * pool_i — the literal Eq. 3/4 solution whenever it is
+                # interior, clamped otherwise.
+                plan = _WaterfillPlan(pool, priorities * pool, pool)
             return self._finalize(caps, plan.reclaim(required), required)
 
         return solve
-
-    def _compute(self, caps, mins, prios, required) -> DeflationResult:
-        if required <= _TOL or caps.size == 0:
-            return self._finalize(caps, np.zeros_like(caps), max(required, 0.0))
-        eff_min = self._effective_min(caps, mins, prios)
-        pool = caps - eff_min
-        total = float(pool.sum())
-        if total <= _TOL:
-            return self._finalize(caps, np.zeros_like(caps), required)
-        if required >= total - _TOL:
-            return self._finalize(caps, pool, required)
-        # Water-fill with weight pi_i * pool_i: the literal Eq. 3/4 solution
-        # whenever it is interior, clamped otherwise.  Low priority => low
-        # weight appears in `base - alpha*weight`?  We want low pi to receive
-        # *more* reclaim, so weight the *retained* share by pi: x_i(alpha) =
-        # pool_i - alpha * pi_i * pool_i.
-        x = _waterfill_reclaim(base=pool, weight=prios * pool, cap=pool, amount=required)
-        return self._finalize(caps, x, required)
 
 
 @register("policy", "deterministic")
@@ -436,30 +383,14 @@ class DeterministicPolicy(DeflationPolicy):
 
     name = "deterministic"
 
-    def max_reclaimable(self, capacities, minimums, priorities) -> float:
-        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        floor = np.maximum(mins, prios * caps)
-        return float((caps - floor).sum())
+    def floors(self, capacities, minimums, priorities) -> np.ndarray:
+        return np.maximum(minimums, priorities * capacities)
 
-    def target_allocations(self, capacities, minimums, priorities, required) -> DeflationResult:
-        caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        return self._compute(caps, mins, prios, required)
-
-    def target_allocations_trusted(self, capacities, minimums, priorities, required):
-        # Exact type check: a subclass overriding target_allocations (the
-        # documented hook) must not be silently bypassed by the fast entry.
-        if type(self) is not DeterministicPolicy:
-            return self.target_allocations(capacities, minimums, priorities, required)
-        return self._compute(
-            capacities, np.minimum(minimums, capacities), priorities, required
-        )
-
-    def _compute(self, caps, mins, prios, required) -> DeflationResult:
+    def _solve(self, caps, mins, prios, required) -> DeflationResult:
         reclaim = np.zeros_like(caps)
         if required <= _TOL or caps.size == 0:
             return self._finalize(caps, reclaim, max(required, 0.0))
-        floor = np.maximum(mins, prios * caps)
-        yields = caps - floor
+        yields = caps - self.floors(caps, mins, prios)
         # Deflate lowest-priority VMs first; break ties by larger yield so we
         # touch fewer VMs (stable for reproducibility).
         order = np.lexsort((-yields, prios))

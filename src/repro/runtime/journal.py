@@ -35,6 +35,30 @@ JOURNAL_FORMAT_VERSION = 1
 _MANIFEST = "manifest.json"
 
 
+def write_atomic(target: Path, payload: bytes) -> bool:
+    """Write ``payload`` to ``target`` via a ``.tmp`` file and a rename.
+
+    An interrupt mid-write leaves a ``.tmp`` file, never a torn file a
+    reader could half-read.  Returns False (removing the ``.tmp`` file)
+    when the directory or disk refuses the write.
+    """
+    tmp = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, target)
+        return True
+    except OSError:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        return False
+
+
 class SweepJournal:
     """One directory journaling one sweep's completed results by index.
 
@@ -97,7 +121,7 @@ class SweepJournal:
             payload = pickle.dumps(value)
         except Exception:
             return False  # unpicklable result: the sweep still returns it
-        return self._write(self._entry_file(index), payload)
+        return write_atomic(self._entry_file(index), payload)
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
@@ -143,23 +167,4 @@ class SweepJournal:
                 file.unlink()
             except OSError:
                 pass
-        self._write(self.path / _MANIFEST, json.dumps(manifest).encode())
-
-    def _write(self, target: Path, payload: bytes) -> bool:
-        tmp = None
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            # Write-then-rename: an interrupt mid-write leaves a .tmp file,
-            # never a torn entry a resume could half-read.
-            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, target)
-            return True
-        except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            return False
+        write_atomic(self.path / _MANIFEST, json.dumps(manifest).encode())

@@ -26,12 +26,12 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.runtime.journal import write_atomic
 from repro.scenario.results import ScenarioResult
 from repro.scenario.scenario import Scenario
 from repro.simulator.cluster_sim import ClusterSimConfig, ClusterSimResult
@@ -224,7 +224,8 @@ class SweepCache:
             # e.g. a collector payload holding a non-serializable object.
             self.skipped += 1
             return False
-        if not self._write_file(key, text):
+        # Write-then-rename so concurrent readers never see partial JSON.
+        if not write_atomic(self._file(key), text.encode()):
             # Unwritable directory / disk full: the caller (and stats())
             # must see that nothing was persisted.
             self.skipped += 1
@@ -302,22 +303,3 @@ class SweepCache:
             os.replace(self._file(key), self.path / f"{key}.corrupt")
         except OSError:
             pass  # e.g. unlinked concurrently; the miss already re-runs it
-
-    def _write_file(self, key: str, text: str) -> bool:
-        assert self.path is not None
-        tmp = None
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            # Write-then-rename so concurrent readers never see partial JSON.
-            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, self._file(key))
-            return True
-        except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            return False

@@ -109,7 +109,6 @@ from repro.pricing.models import PRICING_MODELS, PricingModel
 from repro.registry import create, validate
 from repro.simulator.components import (
     AdmissionController,
-    DeflationAwareAdmission,
     MetricsCollector,
     PlacementScorer,
 )
@@ -349,6 +348,20 @@ def reduce_vm_terms(terms: VMMetricTerms) -> dict:
     }
 
 
+def result_metrics(agg: dict, n_servers: int) -> dict:
+    """The :class:`ClusterSimResult` metric fields of one
+    :func:`reduce_vm_terms` dict: ``throughput_loss``, ``mean_deflation``,
+    ``revenue`` and ``revenue_per_server`` — shared by
+    :meth:`ClusterSimulator._collect` and the sharded engine's merger."""
+    demanded, weight, revenue = agg["demanded_work"], agg["deflation_weight"], agg["revenue"]
+    return {
+        "throughput_loss": (agg["lost_work"] / demanded) if demanded > 0 else 0.0,
+        "mean_deflation": (agg["deflation_sum"] / weight) if weight else 0.0,
+        "revenue": revenue,
+        "revenue_per_server": {name: rev / n_servers for name, rev in revenue.items()},
+    }
+
+
 def vm_class_arrays(traces: VMTraceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-VM ``(caps, priority, deflatable)`` arrays for one trace set.
 
@@ -487,10 +500,6 @@ class ClusterSimulator:
         self._collectors: tuple[MetricsCollector, ...] = tuple(
             create("metrics", name) for name in config.collectors
         )
-        # Exact type check: a subclass may override feasible(), and the
-        # no-deflation admission shortcut is only provably equivalent for
-        # the stock rule.
-        self._stock_admission = type(self._admission) is DeflationAwareAdmission
         self._prepare_vms()
         self._prepare_servers()
 
@@ -976,39 +985,25 @@ class ClusterSimulator:
         # "when there is surplus capacity in the cluster, the cloud manager
         # allocates these resources to lower priority VMs (without deflating
         # them)" (Section 5).  Only under genuine pressure do we fall back
-        # to deflation-requiring servers.  Under the stock deflation-aware
-        # rule a no-deflation server is always feasible (its overflow is
-        # <= 0 and reclaimable pools are never negative), so when any exist
-        # the admission controller does not need to run at all.
-        whole_cluster = candidates is self._all_servers
-        if self._stock_admission:
-            if whole_cluster:  # gather-free: candidates are rows 0..s-1
-                no_deflation = _both_dims(self.committed + demand <= self._cap_eps)
-            else:
-                no_deflation = _both_dims(
-                    self.committed[candidates] + demand <= self._cap_eps[candidates]
-                )
-            fits = np.count_nonzero(no_deflation)
-            if fits == no_deflation.size:
-                pool_idx = candidates
-            elif fits:
-                pool_idx = candidates[no_deflation]
-            else:
-                pool_idx = self._admission.feasible(self, vm, candidates)
-                if self._server_alive is not None and pool_idx.size:
-                    pool_idx = pool_idx[self._server_alive[pool_idx]]
-                if pool_idx.size == 0:
-                    return False
+        # to deflation-requiring servers, and only then is the admission
+        # controller consulted (see AdmissionController).
+        if candidates is self._all_servers:  # gather-free: rows 0..s-1
+            no_deflation = _both_dims(self.committed + demand <= self._cap_eps)
         else:
-            feas_idx = self._admission.feasible(self, vm, candidates)
-            if self._server_alive is not None and feas_idx.size:
-                feas_idx = feas_idx[self._server_alive[feas_idx]]
-            if feas_idx.size == 0:
-                return False
             no_deflation = _both_dims(
-                self.committed[feas_idx] + demand <= self._cap_eps[feas_idx]
+                self.committed[candidates] + demand <= self._cap_eps[candidates]
             )
-            pool_idx = feas_idx[no_deflation] if no_deflation.any() else feas_idx
+        fits = np.count_nonzero(no_deflation)
+        if fits == no_deflation.size:
+            pool_idx = candidates
+        elif fits:
+            pool_idx = candidates[no_deflation]
+        else:
+            pool_idx = self._admission.feasible(self, vm, candidates)
+            if self._server_alive is not None and pool_idx.size:
+                pool_idx = pool_idx[self._server_alive[pool_idx]]
+            if pool_idx.size == 0:
+                return False
 
         if pool_idx.size == 1:
             # argmax over one candidate is that candidate; skip the scoring.
@@ -1270,8 +1265,9 @@ class ClusterSimulator:
                 # the plan hoists membership-dependent work (the priority
                 # policy's breakpoint sort) out of the rebalance storm, and
                 # its lifetime is exactly the cache's — any membership change
-                # drops both.  Results are bit-identical to the one-shot
-                # trusted entry (tests/core/test_deflation_trusted.py).
+                # drops both.  A plan answers every solve as the policy's
+                # one-shot target_allocations would
+                # (tests/core/test_policy_plans.py).
                 [None] * _DIMS,
             )
             self._srv_cache[server] = cache
@@ -1282,8 +1278,8 @@ class ClusterSimulator:
             req = required[r]
             if req <= 0.0:
                 # The policy short-circuits required <= 0 into an all-zero,
-                # satisfied reclaim; reclaim nothing without paying its
-                # input validation (typically the memory dimension).
+                # satisfied reclaim; reclaim nothing without building a
+                # plan (typically the memory dimension).
                 reclaimed[server, r] = 0.0
                 continue
             solve = plans[r]
@@ -1575,14 +1571,7 @@ class ClusterSimulator:
         )
 
     def _collect(self) -> ClusterSimResult:
-        terms = self._metric_terms()
-        agg = reduce_vm_terms(terms)
-        demanded_work = agg["demanded_work"]
-        lost_work = agg["lost_work"]
-        deflation_sum = agg["deflation_sum"]
-        deflation_weight = agg["deflation_weight"]
-        revenue = agg["revenue"]
-
+        metrics = result_metrics(reduce_vm_terms(self._metric_terms()), self.config.n_servers)
         collected = {c.name: c.finalize(self) for c in self._collectors}
         total_capacity = float(self.server_cap[:, 0].sum())
         if self._injector is not None:
@@ -1593,7 +1582,7 @@ class ClusterSimulator:
             # the nominal provisioned capacity, not what survived.
             total_capacity = self._injector.nominal_total_cores()
 
-        result = ClusterSimResult(
+        return ClusterSimResult(
             config=self.config,
             n_vms=len(self.traces),
             n_deflatable=int(self.vm_deflatable.sum()),
@@ -1606,15 +1595,9 @@ class ClusterSimulator:
             ),
             peak_committed_cores=self._peak_committed,
             total_capacity_cores=total_capacity,
-            throughput_loss=(lost_work / demanded_work) if demanded_work > 0 else 0.0,
-            mean_deflation=(deflation_sum / deflation_weight) if deflation_weight else 0.0,
-            revenue=revenue,
-            revenue_per_server={
-                name: rev / self.config.n_servers for name, rev in revenue.items()
-            },
             collected=collected,
+            **metrics,
         )
-        return result
 
 
 def servers_for_overcommitment(

@@ -42,7 +42,13 @@ _EPS = 1e-9
 
 
 class AdmissionController(abc.ABC):
-    """Decides which candidate servers may admit an arriving VM."""
+    """Decides which candidate servers may admit an arriving VM.
+
+    The simulator places a VM on a server it fits without deflating anyone
+    whenever one exists, and consults :meth:`feasible` only when no
+    candidate does: a controller rules on deflation-requiring placements,
+    never on free capacity.
+    """
 
     name: str = "abstract"
 

@@ -85,6 +85,7 @@ from repro.simulator.cluster_sim import (
     VMMetricTerms,
     partition_layout,
     reduce_vm_terms,
+    result_metrics,
     servers_for_overcommitment,
     vm_class_arrays,
     vm_pool_assignment,
@@ -255,22 +256,11 @@ def plan_shards(scenario: Scenario) -> ShardPlan:
     specs = []
     for k, count in enumerate(counts.tolist()):
         idx = np.nonzero(vm_pool == k)[0]
-        config = ClusterSimConfig(
-            n_servers=int(count),
-            cores_per_server=scenario.cores_per_server,
-            memory_per_server_mb=scenario.memory_per_server_mb,
-            policy=scenario.policy,
-            partitioned=False,
-            min_fraction=scenario.min_fraction,
-            admission=scenario.admission,
-            scorer=scenario.scorer,
-            collectors=scenario.collectors,
-        )
         specs.append(
             ShardSpec(
                 shard_id=k,
                 traces=traces.take(idx),
-                config=config,
+                config=dataclasses.replace(scenario.sim_config(int(count)), partitioned=False),
                 vm_global=idx,
                 server_offset=int(offsets[k]),
                 failures=sliced[k],
@@ -555,21 +545,13 @@ def merge_shard_outputs(
         summary.update(scalars)
         collected["failure-injection"] = summary
 
-    demanded, lost = agg["demanded_work"], agg["lost_work"]
-    deflation_sum, deflation_weight = agg["deflation_sum"], agg["deflation_weight"]
-    revenue = agg["revenue"]
     return ClusterSimResult(
         config=config,
         peak_committed_cores=peak,
         total_capacity_cores=total_capacity,
-        throughput_loss=(lost / demanded) if demanded > 0 else 0.0,
-        mean_deflation=(deflation_sum / deflation_weight) if deflation_weight else 0.0,
-        revenue=revenue,
-        revenue_per_server={
-            name: rev / config.n_servers for name, rev in revenue.items()
-        },
         collected=collected,
         **counts,
+        **result_metrics(agg, config.n_servers),
     )
 
 

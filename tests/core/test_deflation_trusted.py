@@ -1,66 +1,103 @@
-"""The trusted fast entry must never bypass subclass policy overrides."""
+"""The fast, unvalidated entry must agree with the validated one and never
+bypass a subclass's policy hooks.
+
+The fast entry is ``reclaim_plan(caps, mins, prios)(required)``: the
+cluster simulator keeps one plan per server pool and solves it on arrays it
+built itself.  ``target_allocations`` validates its inputs and then solves
+through a one-shot plan.  (The file keeps the name of the separate
+``target_allocations_trusted`` entry this path replaced.)
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.deflation import (
+    DeflationResult,
     DeterministicPolicy,
     PriorityPolicy,
     ProportionalPolicy,
 )
+from repro.registry import register, unregister
+from repro.simulator.cluster_sim import (
+    ClusterSimConfig,
+    ClusterSimulator,
+    servers_for_overcommitment,
+)
+from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 
 STOCK = [ProportionalPolicy, PriorityPolicy, DeterministicPolicy]
+
+CAPS = np.array([8.0, 4.0, 2.0])
+MINS = np.array([1.0, 0.5, 0.25])
+PRIOS = np.array([0.2, 0.4, 0.8])
+REQUIREDS = (-1.0, 0.0, 1e-10, 0.5, 3.0, 6.0, 50.0)
+
+
+def _halved(result: DeflationResult, caps: np.ndarray) -> DeflationResult:
+    reclaimed = result.reclaimed * 0.5
+    return DeflationResult(
+        allocations=caps - reclaimed, reclaimed=reclaimed, satisfied=result.satisfied
+    )
+
+
+def _replay_calls(policy_cls: type, calls: list) -> int:
+    """Replay a tight 300-VM trace under ``policy_cls``; how often it was hit."""
+    register("policy", "test-hooked")(policy_cls)
+    try:
+        traces = synthesize_azure_trace(AzureTraceConfig(n_vms=300, seed=7))
+        n = servers_for_overcommitment(traces, 0.5)
+        calls.clear()
+        ClusterSimulator(traces, ClusterSimConfig(n_servers=n, policy="test-hooked")).run()
+        return len(calls)
+    finally:
+        unregister("policy", "test-hooked")
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
 def test_trusted_matches_validated_for_stock_policies(base_cls):
-    caps = np.array([8.0, 4.0, 2.0])
-    mins = np.array([1.0, 0.5, 0.25])
-    prios = np.array([0.2, 0.4, 0.8])
     policy = base_cls()
-    a = policy.target_allocations(caps, mins, prios, 3.0)
-    b = policy.target_allocations_trusted(caps, mins, prios, 3.0)
-    assert a.reclaimed.tolist() == b.reclaimed.tolist()
-    assert a.satisfied == b.satisfied
+    for required in REQUIREDS:
+        a = policy.target_allocations(CAPS, MINS, PRIOS, required)
+        b = policy.reclaim_plan(CAPS, MINS, PRIOS)(required)
+        assert a.reclaimed.tolist() == b.reclaimed.tolist()
+        assert a.allocations.tolist() == b.allocations.tolist()
+        assert a.satisfied == b.satisfied
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
 def test_trusted_honors_subclass_target_allocations(base_cls):
+    """A subclass that raises every VM's floor gets those floors from the
+    validated entry, the fast plan and ``max_reclaimable`` alike."""
+
     class Custom(base_cls):
-        name = "custom"
+        def floors(self, capacities, minimums, priorities):
+            return np.maximum(super().floors(capacities, minimums, priorities), 0.75 * capacities)
 
-        def target_allocations(self, capacities, minimums, priorities, required):
-            result = super().target_allocations(
-                capacities, minimums, priorities, required
-            )
-            # A deliberately visible twist: everything doubled then clamped.
-            twisted = np.minimum(result.reclaimed * 0.5, capacities)
-            return type(result)(
-                allocations=capacities - twisted,
-                reclaimed=twisted,
-                satisfied=result.satisfied,
-            )
-
-    caps = np.array([8.0, 4.0])
-    mins = np.array([0.5, 0.5])
-    prios = np.array([0.3, 0.6])
     custom = Custom()
-    via_hook = custom.target_allocations(caps, mins, prios, 2.0)
-    via_trusted = custom.target_allocations_trusted(caps, mins, prios, 2.0)
-    assert via_trusted.reclaimed.tolist() == via_hook.reclaimed.tolist(), (
-        "target_allocations_trusted must route through the subclass override"
-    )
+    floors = custom.floors(CAPS, MINS, PRIOS)
+    total = custom.max_reclaimable(CAPS, MINS, PRIOS)
+    assert total == float((CAPS - floors).sum())
+    assert total < base_cls().max_reclaimable(CAPS, MINS, PRIOS)
+    plan = custom.reclaim_plan(CAPS, MINS, PRIOS)
+    for required in (0.5 * total, total, 50.0):
+        via_hook = custom.target_allocations(CAPS, MINS, PRIOS, required)
+        via_plan = plan(required)
+        assert via_plan.reclaimed.tolist() == via_hook.reclaimed.tolist()
+        assert (via_hook.allocations >= floors - 1e-9).all(), (
+            "every solve path must keep each VM at or above the subclass's floors"
+        )
+        assert via_hook.satisfied == (required <= total)
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
 def test_reclaim_plan_matches_trusted_for_stock_policies(base_cls):
-    caps = np.array([8.0, 4.0, 2.0])
-    mins = np.array([1.0, 0.5, 0.25])
-    prios = np.array([0.2, 0.4, 0.8])
+    """One plan reused across solves, in any order, returns what a fresh
+    one-shot plan does: no solve leaves state behind for the next (the
+    priority plan builds its water-fill lazily, on the first interior solve)."""
     policy = base_cls()
-    plan = policy.reclaim_plan(caps, mins, prios)
-    for required in (-1.0, 0.0, 3.0, 50.0):
-        one_shot = policy.target_allocations_trusted(caps, mins, prios, required)
+    plan = policy.reclaim_plan(CAPS, MINS, PRIOS)
+    for required in REQUIREDS + REQUIREDS[::-1]:
+        one_shot = policy.reclaim_plan(CAPS, MINS, PRIOS)(required)
         cached = plan(required)
         assert cached.reclaimed.tolist() == one_shot.reclaimed.tolist()
         assert cached.satisfied == one_shot.satisfied
@@ -68,29 +105,17 @@ def test_reclaim_plan_matches_trusted_for_stock_policies(base_cls):
 
 @pytest.mark.parametrize("base_cls", STOCK)
 def test_reclaim_plan_honors_subclass_target_allocations(base_cls):
-    """The cached plan path (like the trusted entry) must route subclass
-    overrides through the documented hook, never the built-in fast math."""
+    """A subclass that sets its own target allocations by overriding
+    ``reclaim_plan`` is honoured by ``target_allocations`` and by a replay."""
+    calls = []
 
     class Custom(base_cls):
-        name = "custom"
+        def reclaim_plan(self, capacities, minimums, priorities):
+            calls.append(capacities.size)
+            inner = super().reclaim_plan(capacities, minimums, priorities)
+            return lambda required: _halved(inner(required), capacities)
 
-        def target_allocations(self, capacities, minimums, priorities, required):
-            result = super().target_allocations(
-                capacities, minimums, priorities, required
-            )
-            twisted = np.minimum(result.reclaimed * 0.5, capacities)
-            return type(result)(
-                allocations=capacities - twisted,
-                reclaimed=twisted,
-                satisfied=result.satisfied,
-            )
-
-    caps = np.array([8.0, 4.0])
-    mins = np.array([0.5, 0.5])
-    prios = np.array([0.3, 0.6])
-    custom = Custom()
-    plan = custom.reclaim_plan(caps, mins, prios)
-    via_hook = custom.target_allocations(caps, mins, prios, 2.0)
-    assert plan(2.0).reclaimed.tolist() == via_hook.reclaimed.tolist(), (
-        "reclaim_plan must route through the subclass override"
-    )
+    stock = base_cls().target_allocations(CAPS, MINS, PRIOS, 3.0)
+    got = Custom().target_allocations(CAPS, MINS, PRIOS, 3.0)
+    assert got.reclaimed.tolist() == (stock.reclaimed * 0.5).tolist()
+    assert _replay_calls(Custom, calls) > 0

@@ -14,7 +14,7 @@ here, in three layers:
    respects per-VM bounds exactly, and is monotone in the requested
    amount.
 3. **Policy plumbing**: the priority policy's cached ``reclaim_plan`` is
-   bit-identical to its one-shot trusted entry, and policy-level
+   bit-identical to its one-shot ``target_allocations``, and policy-level
    allocations stay inside ``[m_i^eff, M_i]``.
 
 Every instance is reproducible from the seed in the failure message.
@@ -157,7 +157,7 @@ def test_priority_policy_allocations_stay_in_bounds(policy_name):
         pool_total = float((caps - eff_min).sum())
         for frac in (0.1, 0.5, 0.95):
             required = pool_total * frac
-            res = policy.target_allocations_trusted(caps, mins, prios, required)
+            res = policy.target_allocations(caps, mins, prios, required)
             ctx = f"seed={SEED + 4} trial={trial} frac={frac}"
             assert (res.allocations >= eff_min - 1e-9).all(), ctx
             assert (res.allocations <= caps + 1e-12).all(), ctx
@@ -168,7 +168,7 @@ def test_priority_policy_allocations_stay_in_bounds(policy_name):
 
 @pytest.mark.parametrize("policy_name", ["priority", "priority-eq3"])
 def test_reclaim_plan_matches_trusted_entry(policy_name):
-    """The cached plan path is bit-for-bit the one-shot trusted path."""
+    """The cached plan path is bit-for-bit the one-shot target_allocations."""
     policy = get_policy(policy_name)
     rng = np.random.default_rng(SEED + 5)
     for trial in range(60):
@@ -181,7 +181,7 @@ def test_reclaim_plan_matches_trusted_entry(policy_name):
         pool_total = float((caps - eff_min).sum())
         for required in (-1.0, 0.0, 0.3 * pool_total, 0.9 * pool_total,
                          pool_total, float(caps.sum())):
-            one_shot = policy.target_allocations_trusted(caps, mins, prios, required)
+            one_shot = policy.target_allocations(caps, mins, prios, required)
             cached = plan(required)
             assert (one_shot.allocations == cached.allocations).all(), (
                 f"seed={SEED + 5} trial={trial} required={required}"

@@ -8,11 +8,13 @@ import pytest
 from repro.core.vm import VMClass
 from repro.errors import SimulationError
 from repro.failures import FailureInjector
+from repro.registry import register, unregister
 from repro.simulator.cluster_sim import (
     ClusterSimConfig,
     ClusterSimulator,
     servers_for_overcommitment,
 )
+from repro.simulator.components import DeflationAwareAdmission
 from repro.traces.azure import AzureTraceConfig, synthesize_azure_trace
 from repro.traces.schema import VMTraceRecord, VMTraceSet
 
@@ -175,6 +177,35 @@ class TestSmallScenarios:
         cfg = ClusterSimConfig(n_servers=1, cores_per_server=48)
         result = ClusterSimulator(traces, cfg).run()
         assert result.n_rejected_on_demand == 1
+
+    def test_admission_consulted_only_under_pressure(self):
+        """A controller rules on deflation-requiring placements only: two
+        8-core VMs fit a 48-core server outright, the 40-core third needs
+        deflation, so only the third arrival reaches ``feasible``."""
+        consulted = []
+
+        class Counting(DeflationAwareAdmission):
+            name = "test-counting"
+
+            def feasible(self, sim, vm, candidates):
+                consulted.append(vm)
+                return super().feasible(sim, vm, candidates)
+
+        traces = VMTraceSet(
+            [
+                flat_record("a", 0.5, cores=8, start=0, length=10),
+                flat_record("b", 0.5, cores=8, start=1, length=10),
+                flat_record("c", 0.5, cores=40, start=2, length=10),
+            ]
+        )
+        register("admission", Counting.name)(Counting)
+        try:
+            cfg = ClusterSimConfig(n_servers=1, admission=Counting.name)
+            result = ClusterSimulator(traces, cfg).run()
+        finally:
+            unregister("admission", Counting.name)
+        assert consulted == [2]
+        assert result.n_placed == 3
 
 
 class TestRealTrace:
