@@ -1,9 +1,8 @@
 """Server-level deflation policies (Section 5.1 of the paper).
 
 All three policy families — proportional (Eqs. 1/2), priority-weighted
-proportional (Eqs. 3/4) and deterministic — are implemented over plain NumPy
-arrays so the cluster simulator can evaluate thousands of deflation events
-cheaply.  A policy answers one question per resource dimension:
+proportional (Eqs. 3/4) and deterministic — answer one question per
+resource dimension:
 
     given per-VM capacities ``M_i``, minimum allocations ``m_i``, priorities
     ``pi_i`` and a total amount ``R`` that must be reclaimed on this server,
@@ -31,16 +30,31 @@ verbatim in :mod:`repro.core.waterfill_reference` and
 (see docs/performance.md, "Deliberate numerical changes").
 
 Every caller solves through :meth:`DeflationPolicy.reclaim_plan`: a
-reusable solver over a fixed (capacities, minimums, priorities) pool, which
+reusable solver over one fixed (capacities, pool, priorities) pool, which
 :meth:`~DeflationPolicy.target_allocations` builds once per call.  The
 cluster simulator rebalances the same server membership many times with
 only the required amount changing, so the priority policy hoists its
-breakpoint sort into the plan and answers each solve in O(n).
+water-fill into the plan, and the water-fill sorts its breakpoints only
+for an amount past the first one.
+
+Arrays at the boundary, Python floats inside.  ``target_allocations`` and
+``max_reclaimable`` take and return NumPy arrays and apply
+:meth:`~DeflationPolicy.floors` once, through
+:meth:`~DeflationPolicy.pool`.  The simulator applies ``floors`` once too,
+over the whole fleet, into the ``vm_floor`` that admission reserves, and
+builds its pools as ``M_i - vm_floor_i``.  Plans, ``_solve`` and
+``_finalize`` work on Python float lists: the simulator's pools are tiny
+(a median of 7 VMs), where NumPy's per-call dispatch costs more than the
+arithmetic.  The list code is bit-identical to the NumPy code it
+replaced: ``+ - * /`` are the same IEEE operations, and each reduction or
+tie reproduces NumPy's (see the note below and
+``tests/core/test_reduction_orders.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,6 +62,61 @@ from repro.errors import DeflationError, UnknownComponentError
 from repro.registry import register, resolve
 
 _TOL = 1e-9
+
+
+# -- NumPy's reductions and ties, in Python floats ------------------------------
+#
+# ``_pairwise_sum`` reproduces, bit for bit, the ``ndarray.sum()`` the list
+# code replaced, and running sums are ``itertools.accumulate``, which starts
+# at the first element like ``np.cumsum``.  On a tie (``-0.0`` vs ``0.0``)
+# ``np.maximum(a, b)`` and ``np.minimum(a, b)`` return ``b`` where the
+# builtins return ``a``, so every clamp is written inline as
+# ``a if a > b else b`` / ``a if a < b else b``; ``np.clip(x, lo, hi)``
+# with an array bound is the maximum first, then the minimum.  (With both
+# bounds scalars NumPy keeps ``x`` on a tie instead; no solve clips that
+# way.)  ``tests/core/test_reduction_orders.py`` holds these forms to
+# NumPy.  Pools are never NaN, so NaN propagation is not reproduced.
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``float(np.asarray(values).sum())``: NumPy's pairwise summation.
+
+    The reduction starts from ``0.0`` and adds the pairwise sum of the
+    whole array: sequential below 8 elements, 8 interleaved accumulators
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus a sequential
+    tail up to 128, and above that a split at ``n//2 - (n//2) % 8``.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _pairwise_block(values, 0, n)
+
+
+def _pairwise_block(a: list[float], lo: int, n: int) -> float:
+    """NumPy's ``pairwise_sum`` of ``a[lo:lo + n]`` for ``n >= 8``."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_block(a, lo, half) + _pairwise_block(a, lo + half, n - half)
+    end = lo + n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+    for i in range(lo + 8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = a[i : i + 8]
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in a[end : lo + n]:
+        res += v
+    return res
 
 
 def _validate_inputs(
@@ -75,34 +144,53 @@ class _WaterfillPlan:
     linear in between, and zero above ``base_i / weight_i``; zero-weight terms
     contribute the alpha-independent ``clip(base_i, 0, cap_i)``.  The clipped
     sum is therefore piecewise linear and non-increasing in alpha with at most
-    ``2n`` breakpoints.  Building the plan sorts those breakpoints once and
-    prefix-sums the slope/intercept deltas (O(n log n)); each
-    :meth:`reclaim` then finds the active segment with one vectorized
-    comparison and solves for alpha in closed form — no iteration.
+    ``2n`` breakpoints.  The sweep sorts those breakpoints and running-sums
+    the slope/intercept deltas (O(n log n)); each :meth:`reclaim` then finds
+    the active segment and solves for alpha in closed form — no iteration.
 
-    The plan is reusable across ``amount`` values, which is how the cluster
-    simulator amortizes the sort over a server's rebalance storm (see
-    :meth:`DeflationPolicy.reclaim_plan`).
+    The inputs are Python float lists, and so is each reclaim.  The plan is
+    reusable across ``amount`` values, which is how the cluster simulator
+    amortizes the sort over a server's rebalance storm (see
+    :meth:`DeflationPolicy.reclaim_plan`).  In the priority policy's shape
+    (``cap == base``) the sort waits for the first amount that needs it:
+    an amount at or above the first breakpoint's value lies on the
+    pre-first-event segment, which needs only the pool sums.
     """
 
-    __slots__ = ("base", "weight", "cap", "total_cap", "_const", "_cap_sum_pos",
-                 "_alphas", "_values", "_C", "_A", "_B", "_seg0")
+    __slots__ = ("base", "weight", "cap", "total_cap", "_const", "_b", "_w",
+                 "_raw_alphas", "_first", "_seg0", "_sweep")
 
-    def __init__(self, base: np.ndarray, weight: np.ndarray, cap: np.ndarray) -> None:
+    def __init__(self, base: list[float], weight: list[float], cap: list[float]) -> None:
         self.base = base
         self.weight = weight
         self.cap = cap
-        self.total_cap = float(cap.sum())
-        pos = weight > 0.0
-        if pos.all():
+        self.total_cap = _pairwise_sum(cap)
+        if not weight or min(weight) > 0.0:
             b, w, c = base, weight, cap
             self._const = 0.0
         else:
-            b, w, c = base[pos], weight[pos], cap[pos]
-            rest = base[~pos]
-            self._const = float(np.minimum(np.maximum(rest, 0.0), cap[~pos]).sum())
-        self._cap_sum_pos = float(c.sum())
-        if c is b or np.array_equal(b, c):
+            pos = [wi > 0.0 for wi in weight]
+            b = [x for x, p in zip(base, pos) if p]
+            w = [x for x, p in zip(weight, pos) if p]
+            c = [x for x, p in zip(cap, pos) if p]
+            fixed = []
+            for x, ci, p in zip(base, cap, pos):
+                if not p:
+                    x = x if x > 0.0 else 0.0
+                    fixed.append(x if x < ci else ci)
+            self._const = _pairwise_sum(fixed)
+        self._b, self._w = b, w
+        #: Value of the clipped sum at the first sweep event, when the plan
+        #: can tell it without sorting (None: consult the sorted sweep).
+        self._first: float | None = None
+        #: ``(alphas, C, A, B, values)`` over the sorted events (None until
+        #: built): on the segment right of event ``j`` the clipped sum is
+        #: ``const + C[j] + A[j] - alpha * B[j]`` (``C`` is None when
+        #: every term's cap event sits at alpha = 0).
+        self._sweep: tuple | None = None
+        #: The ``cap == base`` shape's unsorted zero crossings ``b / w``.
+        self._raw_alphas: list[float] | None = None
+        if c is b or b == c:
             # cap == base (exactly the priority policy's shape: every term is
             # ``clip(pool_i - alpha * w_i, 0, pool_i)``): the cap-regime
             # breakpoint ``(b - c) / w`` is exactly 0 for every term, so the
@@ -113,39 +201,56 @@ class _WaterfillPlan:
             # goes negative, where ``clip`` pins every term right back at
             # ``cap == base`` — the same vector the generic sweep's flat
             # alpha = 0 segment produces.
-            alphas = b / w
-            order = np.argsort(alphas, kind="stable")
-            self._alphas = alphas[order]
-            b_sum = float(b.sum())
-            w_sum = float(w.sum())
-            self._C = None
-            self._A = b_sum - np.cumsum(b[order])
-            self._B = w_sum - np.cumsum(w[order])
+            alphas = [bi / wi for bi, wi in zip(b, w)]
+            b_sum = self.total_cap if b is cap else _pairwise_sum(b)
+            w_sum = _pairwise_sum(w)
+            self._raw_alphas = alphas
             self._seg0 = (0.0, b_sum, w_sum)
-            self._values = self._const + self._A - self._alphas * self._B
+            if alphas:
+                # The stable sort's first event is the first minimal alpha.
+                k = alphas.index(min(alphas))
+                self._first = (self._const + (b_sum - b[k])) - alphas[k] * (w_sum - w[k])
             return
         # Sweep events: entering the linear regime at (b-c)/w trades the
         # constant c_i for the linear term b_i - alpha*w_i; hitting zero at
         # b/w removes the linear term.  Stable sort keeps tied breakpoints
         # deterministic (lo-events of equal alpha before hi-events).
-        alphas = np.concatenate([(b - c) / w, b / w])
-        order = np.argsort(alphas, kind="stable")
-        self._alphas = alphas[order]
-        d_const = np.concatenate([-c, np.zeros_like(c)])
-        d_icept = np.concatenate([b, -b])
-        d_slope = np.concatenate([w, -w])
-        # Post-event running state: on the segment right of event j the
-        # clipped sum is const + C[j] + A[j] - alpha * B[j].
-        self._C = np.cumsum(d_const[order]) + self._cap_sum_pos
-        self._A = np.cumsum(d_icept[order])
-        self._B = np.cumsum(d_slope[order])
-        self._seg0 = (self._cap_sum_pos, 0.0, 0.0)
+        alphas = [(bi - ci) / wi for bi, ci, wi in zip(b, c, w)] + [
+            bi / wi for bi, wi in zip(b, w)
+        ]
+        order = sorted(range(len(alphas)), key=alphas.__getitem__)
+        d_const = [-ci for ci in c] + [0.0] * len(c)
+        d_icept = b + [-bi for bi in b]
+        d_slope = w + [-wi for wi in w]
+        cap_sum_pos = _pairwise_sum(c)
+        sorted_alphas = [alphas[i] for i in order]
+        C = [v + cap_sum_pos for v in accumulate([d_const[i] for i in order])]
+        A = list(accumulate([d_icept[i] for i in order]))
+        B = list(accumulate([d_slope[i] for i in order]))
+        self._seg0 = (cap_sum_pos, 0.0, 0.0)
         # Value of the clipped sum at each event point (continuity: the
         # post-event segment evaluated at the event's own alpha).
-        self._values = self._const + self._C + self._A - self._alphas * self._B
+        const = self._const
+        values = [
+            ((const + cj) + aj) - al * bj for cj, aj, al, bj in zip(C, A, sorted_alphas, B)
+        ]
+        self._sweep = (sorted_alphas, C, A, B, values)
 
-    def reclaim(self, amount: float) -> np.ndarray:
-        """Per-VM reclaim vector for this pool at the given total ``amount``.
+    def _sorted_sweep(self) -> tuple:
+        """Sort the ``cap == base`` shape's zero crossings (first use only)."""
+        alphas, b, w = self._raw_alphas, self._b, self._w
+        order = sorted(range(len(alphas)), key=alphas.__getitem__)
+        _, b_sum, w_sum = self._seg0
+        sorted_alphas = [alphas[i] for i in order]
+        A = [b_sum - v for v in accumulate([b[i] for i in order])]
+        B = [w_sum - v for v in accumulate([w[i] for i in order])]
+        const = self._const
+        values = [(const + aj) - al * bj for aj, al, bj in zip(A, sorted_alphas, B)]
+        self._sweep = (sorted_alphas, None, A, B, values)
+        return self._sweep
+
+    def reclaim(self, amount: float) -> list[float]:
+        """Per-VM reclaim list for this pool at the given total ``amount``.
 
         Same contract (and guard tolerances) as the pinned bisection in
         :mod:`repro.core.waterfill_reference`: callers guarantee
@@ -154,55 +259,61 @@ class _WaterfillPlan:
         whenever the pool can express it.
         """
         if amount <= _TOL:
-            return np.zeros_like(self.base)
+            return [0.0] * len(self.base)
         if amount >= self.total_cap - _TOL:
-            return self.cap.copy()
-        alphas = self._alphas
-        if alphas.size == 0:
+            return list(self.cap)
+        first = self._first
+        if first is not None and first <= amount:
+            # The first event already lies at or below `amount`: the answer
+            # is on the pre-first-event segment, no sort needed.
+            seg_c, seg_a, seg_b = self._seg0
+            alpha = (self._const + seg_c + seg_a - amount) / seg_b
+        elif self._sweep is None and not self._raw_alphas:
             # No positive weights: the clipped sum is alpha-independent, so
             # any level yields the same vector (the bisection's converged
-            # endpoint produced exactly this before its rescale).
-            x = np.minimum(np.maximum(self.base, 0.0), self.cap)
+            # endpoint produced exactly this before its rescale); at
+            # alpha = 0 each term is clip(base_i, 0, cap_i).
+            alpha = 0.0
         else:
-            below = self._values <= amount
-            if not bool(below.any()):
+            sweep = self._sweep
+            if sweep is None:
+                sweep = self._sorted_sweep()
+            alphas, C, A, B, values = sweep
+            j = next((j for j, v in enumerate(values) if v <= amount), -1)
+            if j < 0:
                 # Even past the last breakpoint the zero-weight floor alone
                 # exceeds `amount`: park every weighted term at zero and let
                 # the rescale shrink inside the caps, exactly as the
                 # bisection's converged upper bracket did.
-                alpha = float(alphas[-1])
+                alpha = alphas[-1]
             else:
-                j = int(np.argmax(below))
                 if j == 0:
                     seg_c, seg_a, seg_b = self._seg0
                 else:
-                    seg_c = float(self._C[j - 1]) if self._C is not None else 0.0
-                    seg_a = float(self._A[j - 1])
-                    seg_b = float(self._B[j - 1])
+                    seg_c = C[j - 1] if C is not None else 0.0
+                    seg_a = A[j - 1]
+                    seg_b = B[j - 1]
                 if seg_b > 0.0:
                     alpha = (self._const + seg_c + seg_a - amount) / seg_b
                 else:
                     # Flat segment (tied breakpoints): every alpha on it maps
                     # to the same clipped vector; take the right endpoint.
-                    alpha = float(alphas[j])
-            x = np.clip(self.base - alpha * self.weight, 0.0, self.cap)
-        total = float(x.sum())
+                    alpha = alphas[j]
+        # np.clip(base - alpha * weight, 0.0, cap).
+        x = []
+        for bi, wi, ci in zip(self.base, self.weight, self.cap):
+            v = bi - alpha * wi
+            v = v if v > 0.0 else 0.0
+            x.append(v if v < ci else ci)
+        return self._rescaled(x, amount)
+
+    def _rescaled(self, x: list[float], amount: float) -> list[float]:
+        total = _pairwise_sum(x)
         if total > _TOL:
-            x = np.minimum(x * (amount / total), self.cap)
+            ratio = amount / total
+            # np.minimum(x * ratio, cap).
+            return [v if (v := xi * ratio) < ci else ci for xi, ci in zip(x, self.cap)]
         return x
-
-
-def _waterfill_reclaim(
-    base: np.ndarray, weight: np.ndarray, cap: np.ndarray, amount: float
-) -> np.ndarray:
-    """Solve sum_i clip(base_i - alpha * weight_i, 0, cap_i) = amount for alpha.
-
-    Returns the per-VM reclaim amounts ``x_i`` via the exact breakpoint
-    solver.  Callers guarantee ``0 <= amount <= sum(cap)``.  One-shot entry;
-    repeated solves over the same pool should build a :class:`_WaterfillPlan`
-    (via :meth:`DeflationPolicy.reclaim_plan`) and reuse it.
-    """
-    return _WaterfillPlan(base, weight, cap).reclaim(amount)
 
 
 @dataclass(frozen=True)
@@ -225,6 +336,12 @@ class DeflationPolicy:
     :meth:`_solve`, which the default plan binds, or overrides
     :meth:`reclaim_plan` to hoist membership-dependent work out of repeated
     solves; :meth:`floors` bounds how far each VM may be deflated.
+
+    Arrays at the boundary, lists inside: :meth:`target_allocations` and
+    :meth:`max_reclaimable` take NumPy arrays and apply :meth:`floors` once,
+    through :meth:`pool`; a plan and :meth:`_solve` receive Python float
+    lists ``(caps, pool, prios)`` with the floors already taken out, and
+    return ``(reclaim, satisfied)`` with ``reclaim`` a list.
     """
 
     #: Short machine-readable name, used by experiment harnesses.
@@ -233,15 +350,31 @@ class DeflationPolicy:
     def floors(
         self, capacities: np.ndarray, minimums: np.ndarray, priorities: np.ndarray
     ) -> np.ndarray:
-        """Per-VM allocation floor; the default is the minimum ``m_i``."""
+        """Per-VM allocation floor; the default is the minimum ``m_i``.
+
+        Must be elementwise: the cluster simulator evaluates it once over
+        the whole fleet, not per server pool.
+        """
         return minimums
+
+    def pool(
+        self, capacities: np.ndarray, minimums: np.ndarray, priorities: np.ndarray
+    ) -> np.ndarray:
+        """Per-VM deflatable pool ``M_i - floor_i``: what each VM can yield.
+
+        Clamps the minimums to the capacities, then applies :meth:`floors`
+        (once: a plan's ``pool`` already has it applied).  The cluster
+        simulator's admission reserves ``floors`` itself, so its pools are
+        ``M_i - floor_i`` over those floors, without a second application.
+        """
+        return capacities - self.floors(capacities, np.minimum(minimums, capacities), priorities)
 
     def max_reclaimable(
         self, capacities: np.ndarray, minimums: np.ndarray, priorities: np.ndarray
     ) -> float:
         """Upper bound of what this policy can reclaim from the given pool."""
         caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        return float((caps - self.floors(caps, np.minimum(mins, caps), prios)).sum())
+        return float(self.pool(caps, mins, prios).sum())
 
     def target_allocations(
         self,
@@ -260,41 +393,50 @@ class DeflationPolicy:
         then solves through a one-shot :meth:`reclaim_plan`.
         """
         caps, mins, prios = _validate_inputs(capacities, minimums, priorities)
-        return self.reclaim_plan(caps, mins, prios)(required)
+        solve = self.reclaim_plan(
+            caps.tolist(), self.pool(caps, mins, prios).tolist(), prios.tolist()
+        )
+        reclaim, satisfied = solve(required)
+        reclaimed = np.array(reclaim, dtype=np.float64)
+        return DeflationResult(
+            allocations=caps - reclaimed, reclaimed=reclaimed, satisfied=satisfied
+        )
 
-    def reclaim_plan(self, capacities, minimums, priorities):
+    def reclaim_plan(self, caps: list[float], pool: list[float], prios: list[float]):
         """Reusable solver over one fixed, pre-validated pool.
 
-        Returns ``solve(required) -> DeflationResult``.  The cluster
-        simulator builds one plan per server pool from arrays it constructed
-        itself (valid float64, ``0 <= m_i <= M_i``, ``0 < pi_i <= 1``) and
-        solves it many times with only ``required`` changing; callers must
-        not mutate the arrays while the plan is live.  The default binds
-        :meth:`_solve`.
+        Takes Python float lists: the capacities ``M_i``, the deflatable
+        :meth:`pool` (``M_i - floor_i``, floors already applied) and the
+        priorities.  Returns ``solve(required) -> (reclaim, satisfied)``,
+        ``reclaim`` a list of per-VM reclaims.  The cluster simulator
+        builds one plan per server pool from columns it constructed itself
+        (``0 <= pool_i <= M_i``, ``0 < pi_i <= 1``) and solves it many times
+        with only ``required`` changing; callers must not mutate the lists
+        while the plan is live.  The default binds :meth:`_solve`.
         """
-        mins = np.minimum(minimums, capacities)
 
-        def solve(required: float) -> DeflationResult:
-            return self._solve(capacities, mins, priorities, required)
+        def solve(required: float) -> tuple[list[float], bool]:
+            return self._solve(caps, pool, prios, required)
 
         return solve
 
     def _solve(
-        self, caps: np.ndarray, mins: np.ndarray, prios: np.ndarray, required: float
-    ) -> DeflationResult:
-        """One solve over validated inputs with ``mins <= caps``."""
+        self, caps: list[float], pool: list[float], prios: list[float], required: float
+    ) -> tuple[list[float], bool]:
+        """One solve over a plan's lists; returns ``(reclaim, satisfied)``."""
         raise NotImplementedError(
             f"{type(self).__name__} must implement _solve or reclaim_plan"
         )
 
     # Convenience wrapper shared by all policies.
     def _finalize(
-        self, capacities: np.ndarray, reclaim: np.ndarray, required: float
-    ) -> DeflationResult:
-        reclaim = np.minimum(reclaim, capacities)
-        allocations = capacities - reclaim
-        satisfied = float(reclaim.sum()) >= required - 1e-6
-        return DeflationResult(allocations=allocations, reclaimed=reclaim, satisfied=satisfied)
+        self, caps: list[float], reclaim: list[float], required: float
+    ) -> tuple[list[float], bool]:
+        """Cap each reclaim at its VM's capacity and flag whether the
+        total covers ``required``."""
+        # np.minimum(reclaim, caps).
+        reclaim = [r if r < c else c for r, c in zip(reclaim, caps)]
+        return reclaim, _pairwise_sum(reclaim) >= required - 1e-6
 
 
 @register("policy", "proportional")
@@ -307,15 +449,14 @@ class ProportionalPolicy(DeflationPolicy):
 
     name = "proportional"
 
-    def _solve(self, caps, mins, prios, required) -> DeflationResult:
-        pool = caps - self.floors(caps, mins, prios)
-        if required <= _TOL or caps.size == 0:
-            return self._finalize(caps, np.zeros_like(caps), max(required, 0.0))
-        total = float(pool.sum())
+    def _solve(self, caps, pool, prios, required):
+        if required <= _TOL or not caps:
+            return self._finalize(caps, [0.0] * len(caps), max(required, 0.0))
+        total = _pairwise_sum(pool)
         if total <= _TOL:
-            return self._finalize(caps, np.zeros_like(caps), required)
+            return self._finalize(caps, [0.0] * len(caps), required)
         frac = min(required / total, 1.0)
-        return self._finalize(caps, pool * frac, required)
+        return self._finalize(caps, [p * frac for p in pool], required)
 
 
 @register("policy", "priority", priority_floor=True)
@@ -342,21 +483,19 @@ class PriorityPolicy(DeflationPolicy):
             return np.maximum(minimums, priorities * capacities)
         return minimums
 
-    def reclaim_plan(self, capacities, minimums, priorities):
-        caps = capacities
-        pool = caps - self.floors(caps, np.minimum(minimums, caps), priorities)
-        total = float(pool.sum())
-        # The water-fill (and its breakpoint sort) is built on the first
-        # interior solve, so a one-shot target_allocations pays for it only
-        # when the guards below do not answer first.
+    def reclaim_plan(self, caps, pool, prios):
+        total = _pairwise_sum(pool)
+        # The water-fill is built on the first interior solve, so a one-shot
+        # target_allocations pays for it only when the guards below do not
+        # answer first.
         plan: _WaterfillPlan | None = None
 
-        def solve(required: float) -> DeflationResult:
+        def solve(required: float) -> tuple[list[float], bool]:
             nonlocal plan
-            if required <= _TOL or caps.size == 0:
-                return self._finalize(caps, np.zeros_like(caps), max(required, 0.0))
+            if required <= _TOL or not caps:
+                return self._finalize(caps, [0.0] * len(caps), max(required, 0.0))
             if total <= _TOL:
-                return self._finalize(caps, np.zeros_like(caps), required)
+                return self._finalize(caps, [0.0] * len(caps), required)
             if required >= total - _TOL:
                 return self._finalize(caps, pool, required)
             if plan is None:
@@ -364,7 +503,7 @@ class PriorityPolicy(DeflationPolicy):
                 # receive more reclaim: x_i(alpha) = pool_i - alpha * pi_i
                 # * pool_i — the literal Eq. 3/4 solution whenever it is
                 # interior, clamped otherwise.
-                plan = _WaterfillPlan(pool, priorities * pool, pool)
+                plan = _WaterfillPlan(pool, [p * q for p, q in zip(prios, pool)], pool)
             return self._finalize(caps, plan.reclaim(required), required)
 
         return solve
@@ -386,20 +525,19 @@ class DeterministicPolicy(DeflationPolicy):
     def floors(self, capacities, minimums, priorities) -> np.ndarray:
         return np.maximum(minimums, priorities * capacities)
 
-    def _solve(self, caps, mins, prios, required) -> DeflationResult:
-        reclaim = np.zeros_like(caps)
-        if required <= _TOL or caps.size == 0:
+    def _solve(self, caps, pool, prios, required):
+        reclaim = [0.0] * len(caps)
+        if required <= _TOL or not caps:
             return self._finalize(caps, reclaim, max(required, 0.0))
-        yields = caps - self.floors(caps, mins, prios)
         # Deflate lowest-priority VMs first; break ties by larger yield so we
-        # touch fewer VMs (stable for reproducibility).
-        order = np.lexsort((-yields, prios))
+        # touch fewer VMs (a stable sort, for reproducibility).
+        order = sorted(range(len(caps)), key=lambda i: (prios[i], -pool[i]))
         got = 0.0
-        for idx in order:
+        for i in order:
             if got >= required - _TOL:
                 break
-            reclaim[idx] = yields[idx]
-            got += float(yields[idx])
+            reclaim[i] = pool[i]
+            got += pool[i]
         return self._finalize(caps, reclaim, required)
 
 

@@ -47,9 +47,13 @@ from the reference):
   server has no pressure and nothing reclaimed (the dominant case below
   full subscription), and caches the per-server resident inputs between
   membership changes: one gather of the per-VM column block
-  ``_vm_block`` that ``_refresh_derived`` builds, and the reclaimed row
-  as per-dimension sequential sums (``_sequential_sum``, the order of the
-  ``sum(axis=0)`` it replaces) instead of an ``(n, 2)`` scratch matrix;
+  ``_vm_block`` that ``_refresh_derived`` builds (capacities, the pools
+  ``M_i - vm_floor_i`` left by the floors admission reserves,
+  priorities), taken as Python lists, and the reclaimed row as per-dimension
+  sequential sums (``_sequential_sum``, the order of the ``sum(axis=0)``
+  it replaces) instead of an ``(n, 2)`` scratch matrix; the policy solves,
+  the allocation fractions and their change test run in Python floats
+  (see :mod:`repro.core.deflation`);
 * single server rows are updated in Python floats: ``_attach`` /
   ``_detach`` add a VM's capacities and floors element by element, the
   same IEEE additions as the row-vector ``+=``, and a one-row placement
@@ -68,8 +72,8 @@ from the reference):
   loop);
 * ``_rebalance`` solves through per-server :meth:`DeflationPolicy.
   reclaim_plan` objects cached alongside the resident gathers, so the
-  priority policy's breakpoint sort is paid once per membership change,
-  not once per solve;
+  priority policy's water-fill is built at most once per membership
+  change, and its breakpoint sort only when a solve needs it;
 * placement scores cached per-server rows: every server's normalised
   availability vector, as the scorer's row state (cosine: the padded row
   and its norm), is recomputed only when a write to that server's
@@ -142,15 +146,15 @@ def _quotient(a: float, b: float) -> float:
         return float(np.float64(a) / b)
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """``values`` summed left to right from ``0.0``, as a Python float.
+def _sequential_sum(values: list[float]) -> float:
+    """``values`` summed left to right from ``0.0``.
 
     The order ``x.sum(axis=0)`` uses down the rows of a 2-D array, where a
     1-D ``x.sum()`` is pairwise and the builtin ``sum()`` is compensated on
     Python 3.12 and later; all three can differ in the last bit.
     """
     total = 0.0
-    for v in values.tolist():
+    for v in values:
         total += v
     return total
 
@@ -523,13 +527,20 @@ class ClusterSimulator:
         self.vm_start = self.traces.start_interval.copy()
         self.vm_lifetime = self.traces.lifetimes
         self.vm_end = self.vm_start + self.vm_lifetime
-        # Policy floors: priority/deterministic deflate only to pi*M; every
-        # policy additionally respects the configured QoS minimum fraction.
+        # Every policy respects the configured QoS minimum fraction, and
+        # its own floors may raise it (priority/deterministic deflate only
+        # to pi*M); the preemption baseline keeps the minimum.
         base_floor = self.vm_caps * self.config.min_fraction
-        if self.config.policy in ("priority", "deterministic"):
-            self.vm_floor = np.maximum(base_floor, self.vm_caps * self.vm_prio[:, None])
-        else:
+        if self._policy is None:
             self.vm_floor = base_floor
+        else:
+            self.vm_floor = np.stack(
+                [
+                    self._policy.floors(self.vm_caps[:, r], base_floor[:, r], self.vm_prio)
+                    for r in range(_DIMS)
+                ],
+                axis=1,
+            )
         self.vm_floor[~self.vm_deflatable] = 0.0
         # Growable flat allocation-history log: (vm, interval, frac) triples
         # in event order, bulk-appended per rebalance.  ``_last_frac`` holds
@@ -540,7 +551,7 @@ class ClusterSimulator:
         self._hist_f = np.empty(self._hist_vm.size, dtype=np.float64)
         self._hist_n = 0
         self._hist_sorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._last_frac = np.ones(n)
+        self._last_frac = [1.0] * n
 
     def _prepare_servers(self) -> None:
         cfg = self.config
@@ -651,11 +662,16 @@ class ClusterSimulator:
         else:
             #: Per-VM columns a rebalance reads for a server's deflatable
             #: residents, one row each: CPU and memory capacity, CPU and
-            #: memory floor, priority, and the allocation-fraction
-            #: denominator.  One gather ``_vm_block[:, idx]`` yields every
-            #: input as a contiguous row.
+            #: memory pool ``M_i - floor_i``, priority, and the
+            #: allocation-fraction denominator.  ``vm_floor`` already holds
+            #: the policy's floors (``_prepare_vms``, or surgery after the
+            #: build), the same floors admission reserves, so the pool
+            #: only clamps it to the capacity and never re-applies
+            #: ``policy.floors``.  One ``take`` of a server's residents and
+            #: one ``tolist`` yield every input as a list.
+            pool = caps - np.minimum(floor, caps)
             self._vm_block = np.stack(
-                [caps[:, 0], caps[:, 1], floor[:, 0], floor[:, 1], self.vm_prio,
+                [caps[:, 0], caps[:, 1], pool[:, 0], pool[:, 1], self.vm_prio,
                  np.maximum(caps[:, 0], 1e-12)]
             )
         if cfg.partitioned:
@@ -1252,26 +1268,27 @@ class ClusterSimulator:
             return
         cache = self._srv_cache[server]
         if cache is None:
-            idx = np.fromiter(defl, dtype=np.int64, count=len(defl))
-            # One gather of every per-VM input; each row is contiguous.
-            caps0, caps1, floor0, floor1, prios, frac_denom = self._vm_block[:, idx]
+            idx = list(defl)
+            # One gather of every per-VM input, as Python float lists.
+            caps0, caps1, pool0, pool1, prios, frac_denom = self._vm_block.take(
+                idx, axis=1
+            ).tolist()
             cache = (
                 idx,
-                (caps0, caps1),
-                (floor0, floor1),
+                ((caps0, pool0), (caps1, pool1)),
                 prios,
                 frac_denom,
                 # Per-dimension reclaim plans, built lazily on first solve:
                 # the plan hoists membership-dependent work (the priority
-                # policy's breakpoint sort) out of the rebalance storm, and
-                # its lifetime is exactly the cache's — any membership change
+                # policy's water-fill) out of the rebalance storm, and its
+                # lifetime is exactly the cache's — any membership change
                 # drops both.  A plan answers every solve as the policy's
                 # one-shot target_allocations would
                 # (tests/core/test_policy_plans.py).
                 [None] * _DIMS,
             )
             self._srv_cache[server] = cache
-        idx, caps_dim, floors_dim, prios, frac_denom, plans = cache
+        idx, inputs, prios, frac_denom, plans = cache
         cpu_reclaim = None
         unsatisfied = False
         for r in range(_DIMS):
@@ -1284,31 +1301,32 @@ class ClusterSimulator:
                 continue
             solve = plans[r]
             if solve is None:
-                solve = plans[r] = self._policy.reclaim_plan(
-                    caps_dim[r], floors_dim[r], prios
-                )
-            result = solve(req)
-            reclaimed[server, r] = _sequential_sum(result.reclaimed)
+                caps_r, pool_r = inputs[r]
+                solve = plans[r] = self._policy.reclaim_plan(caps_r, pool_r, prios)
+            reclaim, satisfied = solve(req)
+            reclaimed[server, r] = _sequential_sum(reclaim)
             if r == 0:
-                cpu_reclaim = result.reclaimed
-            if not result.satisfied:
+                cpu_reclaim = reclaim
+            if not satisfied:
                 unsatisfied = True
         self._dirty_rows.add(server)
         if unsatisfied:
             # Should not happen (feasibility was checked at admission), but a
             # departure race could in principle expose it; count it.
             self.vm_reclaim_failure[idx] = True
-        # Record CPU allocation fraction changes (bulk append).
+        # Record CPU allocation fraction changes (one bulk append).
         if cpu_reclaim is None:
-            frac = np.ones(idx.size)
-        else:
-            frac = 1.0 - cpu_reclaim / frac_denom
-        changed = np.abs(frac - self._last_frac[idx]) > 1e-9
-        if np.count_nonzero(changed):
-            sel = idx[changed]
-            fsel = frac[changed]
+            cpu_reclaim = [0.0] * len(idx)
+        last = self._last_frac
+        sel, fsel = [], []
+        for vm, x, denom in zip(idx, cpu_reclaim, frac_denom):
+            f = 1.0 - x / denom
+            if abs(f - last[vm]) > 1e-9:
+                sel.append(vm)
+                fsel.append(f)
+                last[vm] = f
+        if sel:
             self._append_history_bulk(sel, t, fsel)
-            self._last_frac[sel] = fsel
         for c in self._collectors:
             c.on_rebalance(t, server, self)
 
@@ -1422,8 +1440,8 @@ class ClusterSimulator:
         self._hist_n = i + 1
         self._hist_sorted = None
 
-    def _append_history_bulk(self, vms: np.ndarray, t: float, fracs: np.ndarray) -> None:
-        k = vms.size
+    def _append_history_bulk(self, vms: list[int], t: float, fracs: list[float]) -> None:
+        k = len(vms)
         self._hist_reserve(k)
         i = self._hist_n
         self._hist_vm[i : i + k] = vms

@@ -187,7 +187,7 @@ def capture(sim) -> SimSnapshot:
         state[name] = getattr(sim, name).copy()
     for name in _SERVER_ARRAYS:
         state[name] = getattr(sim, name).copy()
-    state["last_frac"] = sim._last_frac.copy()
+    state["last_frac"] = np.array(sim._last_frac)
     state["residents"] = tuple(tuple(d) for d in sim.residents)
     state["resident_deflatable"] = tuple(tuple(d) for d in sim.resident_deflatable)
     alive = sim._server_alive
@@ -268,7 +268,7 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     for name in _SERVER_ARRAYS:
         # Fortran-ordered, the layout the simulator builds them in.
         setattr(sim, name, np.array(st[name], order="F"))
-    sim._last_frac = st["last_frac"].copy()
+    sim._last_frac = st["last_frac"].tolist()
     s = len(st["residents"])
     sim.residents = [dict.fromkeys(r) for r in st["residents"]]
     sim.resident_deflatable = [dict.fromkeys(r) for r in st["resident_deflatable"]]

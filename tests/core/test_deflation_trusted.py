@@ -1,10 +1,12 @@
 """The fast, unvalidated entry must agree with the validated one and never
 bypass a subclass's policy hooks.
 
-The fast entry is ``reclaim_plan(caps, mins, prios)(required)``: the
-cluster simulator keeps one plan per server pool and solves it on arrays it
-built itself.  ``target_allocations`` validates its inputs and then solves
-through a one-shot plan.  (The file keeps the name of the separate
+The fast entry is ``reclaim_plan(caps, pool, prios)(required)``: the
+cluster simulator keeps one plan per server pool and solves it on Python
+float lists it gathered from columns it built itself, with the policy's
+floors already applied (``policy.pool``).  ``target_allocations``
+validates its arrays, applies the floors and then solves through a
+one-shot plan.  (The file keeps the name of the separate
 ``target_allocations_trusted`` entry this path replaced.)
 """
 
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.deflation import (
-    DeflationResult,
     DeterministicPolicy,
     PriorityPolicy,
     ProportionalPolicy,
@@ -33,11 +34,15 @@ PRIOS = np.array([0.2, 0.4, 0.8])
 REQUIREDS = (-1.0, 0.0, 1e-10, 0.5, 3.0, 6.0, 50.0)
 
 
-def _halved(result: DeflationResult, caps: np.ndarray) -> DeflationResult:
-    reclaimed = result.reclaimed * 0.5
-    return DeflationResult(
-        allocations=caps - reclaimed, reclaimed=reclaimed, satisfied=result.satisfied
-    )
+def _halved(result: tuple[list[float], bool]) -> tuple[list[float], bool]:
+    reclaim, satisfied = result
+    return [r * 0.5 for r in reclaim], satisfied
+
+
+def _plan(policy):
+    """``policy``'s plan over the fixed pool, built as the simulator does."""
+    pool = policy.pool(CAPS, MINS, PRIOS)
+    return policy.reclaim_plan(CAPS.tolist(), pool.tolist(), PRIOS.tolist())
 
 
 def _replay_calls(policy_cls: type, calls: list) -> int:
@@ -58,10 +63,10 @@ def test_trusted_matches_validated_for_stock_policies(base_cls):
     policy = base_cls()
     for required in REQUIREDS:
         a = policy.target_allocations(CAPS, MINS, PRIOS, required)
-        b = policy.reclaim_plan(CAPS, MINS, PRIOS)(required)
-        assert a.reclaimed.tolist() == b.reclaimed.tolist()
-        assert a.allocations.tolist() == b.allocations.tolist()
-        assert a.satisfied == b.satisfied
+        reclaim, satisfied = _plan(policy)(required)
+        assert a.reclaimed.tobytes() == np.array(reclaim).tobytes()
+        assert a.allocations.tobytes() == (CAPS - np.array(reclaim)).tobytes()
+        assert a.satisfied == satisfied
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
@@ -78,11 +83,11 @@ def test_trusted_honors_subclass_target_allocations(base_cls):
     total = custom.max_reclaimable(CAPS, MINS, PRIOS)
     assert total == float((CAPS - floors).sum())
     assert total < base_cls().max_reclaimable(CAPS, MINS, PRIOS)
-    plan = custom.reclaim_plan(CAPS, MINS, PRIOS)
+    plan = _plan(custom)
     for required in (0.5 * total, total, 50.0):
         via_hook = custom.target_allocations(CAPS, MINS, PRIOS, required)
-        via_plan = plan(required)
-        assert via_plan.reclaimed.tolist() == via_hook.reclaimed.tolist()
+        via_plan, _ = plan(required)
+        assert via_plan == via_hook.reclaimed.tolist()
         assert (via_hook.allocations >= floors - 1e-9).all(), (
             "every solve path must keep each VM at or above the subclass's floors"
         )
@@ -95,12 +100,12 @@ def test_reclaim_plan_matches_trusted_for_stock_policies(base_cls):
     one-shot plan does: no solve leaves state behind for the next (the
     priority plan builds its water-fill lazily, on the first interior solve)."""
     policy = base_cls()
-    plan = policy.reclaim_plan(CAPS, MINS, PRIOS)
+    plan = _plan(policy)
     for required in REQUIREDS + REQUIREDS[::-1]:
-        one_shot = policy.reclaim_plan(CAPS, MINS, PRIOS)(required)
-        cached = plan(required)
-        assert cached.reclaimed.tolist() == one_shot.reclaimed.tolist()
-        assert cached.satisfied == one_shot.satisfied
+        one_shot, one_shot_ok = _plan(policy)(required)
+        cached, cached_ok = plan(required)
+        assert np.array(cached).tobytes() == np.array(one_shot).tobytes()
+        assert cached_ok == one_shot_ok
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
@@ -110,10 +115,10 @@ def test_reclaim_plan_honors_subclass_target_allocations(base_cls):
     calls = []
 
     class Custom(base_cls):
-        def reclaim_plan(self, capacities, minimums, priorities):
-            calls.append(capacities.size)
-            inner = super().reclaim_plan(capacities, minimums, priorities)
-            return lambda required: _halved(inner(required), capacities)
+        def reclaim_plan(self, caps, pool, prios):
+            calls.append(len(caps))
+            inner = super().reclaim_plan(caps, pool, prios)
+            return lambda required: _halved(inner(required))
 
     stock = base_cls().target_allocations(CAPS, MINS, PRIOS, 3.0)
     got = Custom().target_allocations(CAPS, MINS, PRIOS, 3.0)

@@ -12,13 +12,16 @@ file holds that path to three things:
     merged.  The golden replay suites cannot see a drift here: the pinned
     reference simulator imports these same policies;
 (b) **hooks** — a subclass overriding ``_solve`` is honoured by
-    ``target_allocations`` and by a replay (``reclaim_plan`` and ``floors``
-    overrides are held in ``test_deflation_trusted.py``);
-(c) **floors** — ``max_reclaimable`` is exactly what ``floors`` leaves.
+    ``target_allocations`` and by a replay; ``_solve`` takes and returns
+    Python float lists (``reclaim_plan`` and ``floors`` overrides are held
+    in ``test_deflation_trusted.py``);
+(c) **floors** — ``max_reclaimable`` is exactly what ``floors`` leaves, and
+    a replay takes its per-VM floors from the policy, not from its name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -26,8 +29,8 @@ import pytest
 
 from repro.core.deflation import (
     DeflationPolicy,
-    DeflationResult,
     DeterministicPolicy,
+    PriorityPolicy,
     ProportionalPolicy,
     get_policy,
 )
@@ -88,10 +91,11 @@ def _requireds(policy: DeflationPolicy, caps, mins, prios) -> list[float]:
 
 
 def _digest(results) -> str:
+    """``results`` are ``(reclaimed, satisfied)`` pairs, arrays or lists."""
     h = hashlib.sha256()
-    for res in results:
-        h.update(res.reclaimed.tobytes())
-        h.update(b"1" if res.satisfied else b"0")
+    for reclaimed, satisfied in results:
+        h.update(np.asarray(reclaimed, dtype=np.float64).tobytes())
+        h.update(b"1" if satisfied else b"0")
     return h.hexdigest()
 
 
@@ -100,9 +104,12 @@ def test_policy_bits_are_pinned(name):
     policy = get_policy(name)
     one_shot, planned = [], []
     for caps, mins, prios in _pools():
-        plan = policy.reclaim_plan(caps, mins, prios)
+        plan = policy.reclaim_plan(
+            caps.tolist(), policy.pool(caps, mins, prios).tolist(), prios.tolist()
+        )
         for required in _requireds(policy, caps, mins, prios):
-            one_shot.append(policy.target_allocations(caps, mins, prios, required))
+            res = policy.target_allocations(caps, mins, prios, required)
+            one_shot.append((res.reclaimed, res.satisfied))
             planned.append(plan(required))
     assert _digest(one_shot) == PINNED[name]
     assert _digest(planned) == PINNED[name]
@@ -111,11 +118,9 @@ def test_policy_bits_are_pinned(name):
 # -- (b) hooks -----------------------------------------------------------------------
 
 
-def _halved(result: DeflationResult, caps: np.ndarray) -> DeflationResult:
-    reclaimed = result.reclaimed * 0.5
-    return DeflationResult(
-        allocations=caps - reclaimed, reclaimed=reclaimed, satisfied=result.satisfied
-    )
+def _halved(result: tuple[list[float], bool]) -> tuple[list[float], bool]:
+    reclaim, satisfied = result
+    return [r * 0.5 for r in reclaim], satisfied
 
 
 def _replay_calls(policy_cls: type, calls: list) -> int:
@@ -141,9 +146,9 @@ def test_solve_override_is_honoured(base_cls):
     calls = []
 
     class Custom(base_cls):
-        def _solve(self, caps, mins, prios, required):
+        def _solve(self, caps, pool, prios, required):
             calls.append(required)
-            return _halved(super()._solve(caps, mins, prios, required), caps)
+            return _halved(super()._solve(caps, pool, prios, required))
 
     stock = base_cls().target_allocations(CAPS, MINS, PRIOS, 3.0)
     got = Custom().target_allocations(CAPS, MINS, PRIOS, 3.0)
@@ -156,11 +161,10 @@ def test_solve_only_plugin_runs_everywhere():
     calls = []
 
     class EvenSplit(DeflationPolicy):
-        def _solve(self, caps, mins, prios, required):
+        def _solve(self, caps, pool, prios, required):
             calls.append(required)
-            pool = caps - mins
-            share = max(required, 0.0) / max(pool.size, 1)
-            return self._finalize(caps, np.minimum(pool, share), max(required, 0.0))
+            share = max(required, 0.0) / max(len(pool), 1)
+            return self._finalize(caps, [min(p, share) for p in pool], max(required, 0.0))
 
     res = EvenSplit().target_allocations(CAPS, MINS, PRIOS, 3.0)
     assert res.reclaimed.tolist() == [1.0, 1.0, 1.0]
@@ -184,3 +188,46 @@ def test_max_reclaimable_is_what_floors_leave(name):
         res = policy.target_allocations(caps, mins, prios, total)
         assert res.satisfied
         assert (res.allocations >= floors - 1e-9).all()
+
+
+def test_replay_floors_come_from_the_policy_not_its_name():
+    """The priority policy under another name replays exactly like itself:
+    admission's floors and the policy's solves agree (a name check once
+    gave the alias proportional floors and 551 reclaim failures here)."""
+    traces = synthesize_azure_trace(AzureTraceConfig(n_vms=2000, seed=3))
+    n = servers_for_overcommitment(traces, 0.6)
+    register("policy", "prio-alias", priority_floor=True)(PriorityPolicy)
+    try:
+        alias = ClusterSimulator(traces, ClusterSimConfig(n_servers=n, policy="prio-alias")).run()
+    finally:
+        unregister("policy", "prio-alias")
+    stock = ClusterSimulator(traces, ClusterSimConfig(n_servers=n, policy="priority")).run()
+    assert stock.n_reclaim_failures == 0
+    assert dataclasses.replace(alias, config=stock.config) == stock
+
+
+class _LiftedFloors(ProportionalPolicy):
+    """Floors that move again when re-applied: ``f(f(m)) > f(m)``."""
+
+    def floors(self, capacities, minimums, priorities):
+        return np.minimum(minimums + 0.1 * capacities, capacities)
+
+
+def test_replay_applies_the_floors_once():
+    """Admission reserves ``policy.floors`` and the solves reclaim down to
+    the same floors: applying a non-idempotent ``floors`` a second time
+    when building the solver pools once left 0.1 M_i per VM that admission
+    had promised, and the replay counted reclaim failures."""
+    traces = synthesize_azure_trace(AzureTraceConfig(n_vms=2000, seed=3))
+    n = servers_for_overcommitment(traces, 0.6)
+    register("policy", "lifted-floors")(_LiftedFloors)
+    try:
+        sim = ClusterSimulator(traces, ClusterSimConfig(n_servers=n, policy="lifted-floors"))
+        result = sim.run()
+    finally:
+        unregister("policy", "lifted-floors")
+    caps, floor = sim.vm_caps, sim.vm_floor
+    lifted = np.minimum(caps * sim.config.min_fraction + 0.1 * caps, caps)
+    defl = sim.vm_deflatable
+    assert (floor[defl] == lifted[defl]).all()
+    assert result.n_reclaim_failures == 0

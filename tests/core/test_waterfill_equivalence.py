@@ -13,8 +13,10 @@ here, in three layers:
    allocation conserves the requested reclaim to near machine precision,
    respects per-VM bounds exactly, and is monotone in the requested
    amount.
-3. **Policy plumbing**: the priority policy's cached ``reclaim_plan`` is
-   bit-identical to its one-shot ``target_allocations``, and policy-level
+3. **Bits and plumbing**: the list-native plan's reclaims hash to a
+   constant taken from the NumPy solver it replaced, one-shot and reused
+   in both orders; the priority policy's cached ``reclaim_plan`` is
+   bit-identical to its one-shot ``target_allocations``; and policy-level
    allocations stay inside ``[m_i^eff, M_i]``.
 
 Every instance is reproducible from the seed in the failure message.
@@ -22,10 +24,12 @@ Every instance is reproducible from the seed in the failure message.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.deflation import _WaterfillPlan, _waterfill_reclaim, get_policy
+from repro.core.deflation import _WaterfillPlan, get_policy
 from repro.core.waterfill_reference import waterfill_reclaim_bisect
 
 SEED = 20260808
@@ -35,6 +39,20 @@ AGREEMENT_TOL = 1e-9
 #: The simulator's priority weights never reach 1.0 (p95-derived levels),
 #: but the raw solver must also survive shapes the policies avoid.
 PRIORITY_LEVELS = (0.2, 0.4, 0.6, 0.8)
+
+#: sha256 over every ``_WaterfillPlan.reclaim`` result's float64 bytes in
+#: :func:`test_plan_reuse_is_bit_identical`, taken from the NumPy solver
+#: the list-native one replaced.
+WATERFILL_PINNED = "4671c1274f3a876f4be9a055718a189c6ebb3440912c7202354258ad04b79f4e"
+
+
+def _plan(base, weight, cap) -> _WaterfillPlan:
+    """A plan over one instance's arrays, in the lists it computes on."""
+    return _WaterfillPlan(base.tolist(), weight.tolist(), cap.tolist())
+
+
+def _bits(reclaim) -> bytes:
+    return np.asarray(reclaim, dtype=np.float64).tobytes()
 
 
 def _random_instance(rng: np.random.Generator, trial: int):
@@ -85,7 +103,7 @@ def test_closed_form_matches_pinned_bisection():
     for trial in range(N_INSTANCES):
         base, weight, cap = _random_instance(rng, trial)
         for amount in _amounts(rng, cap):
-            got = _waterfill_reclaim(base, weight, cap, amount)
+            got = np.array(_plan(base, weight, cap).reclaim(amount))
             ref = waterfill_reclaim_bisect(base, weight, cap, amount)
             diff = float(np.abs(got - ref).max())
             assert diff <= AGREEMENT_TOL, (
@@ -106,7 +124,7 @@ def test_exact_invariants():
         prev = np.zeros_like(cap)
         for frac in np.linspace(0.0, 1.0, 17):
             amount = total * float(frac)
-            x = _waterfill_reclaim(base, weight, cap, amount)
+            x = np.array(_plan(base, weight, cap).reclaim(amount))
             ctx = f"seed={SEED + 1} trial={trial} frac={frac}"
             # Per-VM bounds hold exactly: clip + in-cap rescale by design.
             assert (x >= 0.0).all(), ctx
@@ -128,19 +146,32 @@ def test_guard_regimes_bit_identical():
         base, weight, cap = _random_instance(rng, trial)
         total = float(cap.sum())
         for amount in (0.0, 1e-10, total, total * 1.001, total - 1e-10):
-            got = _waterfill_reclaim(base, weight, cap, amount)
+            got = np.array(_plan(base, weight, cap).reclaim(amount))
             ref = waterfill_reclaim_bisect(base, weight, cap, amount)
             assert (got == ref).all(), f"trial={trial} amount={amount}"
 
 
 def test_plan_reuse_is_bit_identical():
-    """A reused _WaterfillPlan returns the same bits as one-shot solves."""
+    """One-shot plans and one reused plan, solved forwards then backwards,
+    hash to a constant taken from the NumPy solver.
+
+    Covers all six :func:`_random_instance` shapes; the reused plan meets
+    amounts in both orders, so a solve that leaves state behind (the
+    priority shape sorts its breakpoints only when an amount needs them)
+    changes the digest.
+    """
     rng = np.random.default_rng(SEED + 3)
-    for trial in range(60):
+    one_shot, reused = hashlib.sha256(), hashlib.sha256()
+    for trial in range(120):
         base, weight, cap = _random_instance(rng, trial)
-        plan = _WaterfillPlan(base, weight, cap)
-        for amount in _amounts(rng, cap):
-            assert (plan.reclaim(amount) == _waterfill_reclaim(base, weight, cap, amount)).all()
+        amounts = _amounts(rng, cap)
+        amounts += amounts[::-1]
+        plan = _plan(base, weight, cap)
+        for amount in amounts:
+            one_shot.update(_bits(_plan(base, weight, cap).reclaim(amount)))
+            reused.update(_bits(plan.reclaim(amount)))
+    assert one_shot.hexdigest() == WATERFILL_PINNED
+    assert reused.hexdigest() == WATERFILL_PINNED
 
 
 @pytest.mark.parametrize("policy_name", ["priority", "priority-eq3"])
@@ -167,8 +198,9 @@ def test_priority_policy_allocations_stay_in_bounds(policy_name):
 
 
 @pytest.mark.parametrize("policy_name", ["priority", "priority-eq3"])
-def test_reclaim_plan_matches_trusted_entry(policy_name):
-    """The cached plan path is bit-for-bit the one-shot target_allocations."""
+def test_reused_plan_matches_target_allocations(policy_name):
+    """One plan reused across solves is bit-for-bit the one-shot
+    target_allocations (which builds a fresh plan per call)."""
     policy = get_policy(policy_name)
     rng = np.random.default_rng(SEED + 5)
     for trial in range(60):
@@ -176,18 +208,17 @@ def test_reclaim_plan_matches_trusted_entry(policy_name):
         caps = rng.integers(1, 33, n).astype(np.float64)
         mins = caps * rng.uniform(0.0, 0.9, n)
         prios = rng.choice(PRIORITY_LEVELS, n)
-        plan = policy.reclaim_plan(caps, mins, prios)
-        eff_min = np.maximum(mins, prios * caps) if policy.priority_floor else mins
-        pool_total = float((caps - eff_min).sum())
+        pool = policy.pool(caps, mins, prios)
+        plan = policy.reclaim_plan(caps.tolist(), pool.tolist(), prios.tolist())
+        pool_total = float(pool.sum())
         for required in (-1.0, 0.0, 0.3 * pool_total, 0.9 * pool_total,
                          pool_total, float(caps.sum())):
             one_shot = policy.target_allocations(caps, mins, prios, required)
-            cached = plan(required)
-            assert (one_shot.allocations == cached.allocations).all(), (
+            reclaim, satisfied = plan(required)
+            assert _bits(reclaim) == one_shot.reclaimed.tobytes(), (
                 f"seed={SEED + 5} trial={trial} required={required}"
             )
-            assert (one_shot.reclaimed == cached.reclaimed).all()
-            assert one_shot.satisfied == cached.satisfied
+            assert satisfied == one_shot.satisfied
 
 
 @pytest.mark.slow
@@ -197,7 +228,7 @@ def test_closed_form_matches_pinned_bisection_wide():
     for trial in range(1500):
         base, weight, cap = _random_instance(rng, trial)
         for amount in _amounts(rng, cap):
-            got = _waterfill_reclaim(base, weight, cap, amount)
+            got = np.array(_plan(base, weight, cap).reclaim(amount))
             ref = waterfill_reclaim_bisect(base, weight, cap, amount)
             assert float(np.abs(got - ref).max()) <= AGREEMENT_TOL, (
                 f"seed={SEED + 6} trial={trial} amount={amount}"
